@@ -7,8 +7,8 @@ Four levels, one diagnostic model:
   sparsity/load-balancing annotation references;
 * level 2, :mod:`repro.analysis.netlist` (``STL-NL-*``): netlist dataflow
   lint -- width inference and mismatch warnings, combinational-loop
-  detection, multiple drivers, dead nets, reset coverage (absorbs the old
-  ``repro.rtl.lint`` rules);
+  detection, multiple drivers, dead nets, reset coverage, plus the
+  original structural rules;
 * level 3, :mod:`repro.analysis.program` (``STL-PR-*``): ISA program
   verification -- decodability, field ranges, config-before-issue
   ordering, compressed-transfer metadata, DRAM window overlap;

@@ -14,8 +14,8 @@ instead:
 * all (layer x combo) pairs go through one
   :func:`~repro.exec.engine.evaluate_sweep` call, so candidates share
   the compile cache (most combos collapse onto a handful of compiled
-  designs), fan out over the process pool, ship operands through shared
-  memory, and warm-start from the persistent disk store;
+  designs), fan out over the process pool, and warm-start from the
+  persistent disk store;
 * per layer, the surviving points are ranked by the Pareto frontier
   over (cycles, area, energy) and the winner is the frontier point
   minimizing the configured objective -- ``cycles``, ``energy``, or

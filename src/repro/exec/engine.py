@@ -30,16 +30,16 @@ Suites ride on the same sweep: a candidate may carry its own
 ``bounds``, a ``tensors_key`` naming an operand set in the sweep-wide
 ``tensor_table``, and ``want_energy`` / ``want_digest`` flags asking
 for an energy estimate and a canonical output fingerprint in the
-outcome.  Workload tensors (and the tensor table) ship to workers
-through :class:`~repro.exec.shm.SharedTensorPool` segments published
-once per sweep; if shared memory is unavailable the payload falls back
-to inline arrays with identical results.
+outcome.  The parent resolves each candidate's own operand set and
+pickles it into that candidate's task; a layer's operands are about
+1.2 KB, so per-task pickling is cheaper than any shared handoff.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import pickle
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -55,7 +55,6 @@ from ..obs.trace import Tracer, get_tracer, set_tracer
 from ..sim.spatial_array import SpatialArraySim
 from .cache import CacheStats, CompileCache
 from .fingerprint import fingerprint
-from .shm import SharedTensorPool, ShmUnavailable, adopt, shared_memory_available
 from .store import (
     DiskStore,
     merge_store_stats,
@@ -119,6 +118,20 @@ class EngineReport:
 # ---------------------------------------------------------------------------
 
 
+def _operands(candidate: Mapping[str, object], tensors, tensor_table):
+    """The operand set one candidate simulates: its ``tensors_key``
+    entry of ``tensor_table``, or the sweep-wide ``tensors``."""
+    tensors_key = candidate.get("tensors_key")
+    if tensors_key is None:
+        return tensors
+    if tensor_table is None or tensors_key not in tensor_table:
+        raise KeyError(
+            f"candidate {candidate['name']!r} names tensors_key"
+            f" {tensors_key!r} but the sweep has no such tensor-table entry"
+        )
+    return tensor_table[tensors_key]
+
+
 def _evaluate_point(
     spec,
     bounds,
@@ -127,17 +140,17 @@ def _evaluate_point(
     candidate: Mapping[str, object],
     cache: Optional[CompileCache],
     skip_illegal: bool,
-    tensor_table: Optional[Mapping[str, Mapping[str, object]]] = None,
 ) -> Dict[str, object]:
     """Compile + simulate + area for one candidate.
 
     Runs against whatever profiler/tracer are currently installed, so the
     same code serves the inline path (parent observability) and the
-    worker path (local observability, merged later).
+    worker path (local observability, merged later).  ``tensors`` is
+    the candidate's own operand set, already resolved by
+    :func:`_operands`.
 
-    Suite candidates may override the sweep-wide ``bounds`` and name
-    their operand set via ``tensors_key`` (resolved against
-    ``tensor_table``), and may opt into extra figures with
+    Suite candidates may override the sweep-wide ``bounds`` and may opt
+    into extra figures with
     ``want_energy`` (energy model over the sim counters) and
     ``want_digest`` (canonical fingerprint of the simulated outputs,
     for byte-identity checks across runs and transports).
@@ -162,14 +175,6 @@ def _evaluate_point(
     name = candidate["name"]
     skip_illegal = bool(candidate.get("skip_illegal", skip_illegal))
     bounds = candidate.get("bounds", bounds)
-    tensors_key = candidate.get("tensors_key")
-    if tensors_key is not None:
-        if tensor_table is None or tensors_key not in tensor_table:
-            raise KeyError(
-                f"candidate {name!r} names tensors_key {tensors_key!r}"
-                " but the sweep has no such tensor-table entry"
-            )
-        tensors = tensor_table[tensors_key]
     accelerator = Accelerator(
         spec=spec,
         bounds=bounds,
@@ -268,49 +273,14 @@ def evaluate_point(
     pruned sweep entry.
     """
     return _evaluate_point(
-        spec, bounds, tensors, element_bits, candidate, cache,
-        skip_illegal, tensor_table=tensor_table,
+        spec, bounds, _operands(candidate, tensors, tensor_table),
+        element_bits, candidate, cache, skip_illegal,
     )
 
 
 # ---------------------------------------------------------------------------
 # Worker-process plumbing
 # ---------------------------------------------------------------------------
-
-#: Per-process sweep state, populated by the pool initializer.
-_WORKER_STATE: Dict[str, object] = {}
-
-
-def _decode_operands(packed):
-    """Materialize an operand payload shipped as ``(transport, value)``.
-
-    ``("inline", arrays)`` passes through; ``("shm", handles)`` maps
-    read-only views of the parent's shared segments.
-    """
-    if packed is None:
-        return None
-    transport, value = packed
-    if transport == "inline":
-        return value
-    if transport == "shm":
-        return SharedTensorPool.attach(value)
-    if transport == "shm-table":
-        return SharedTensorPool.attach_table(value)
-    raise ValueError(f"unknown operand transport {transport!r}")
-
-
-def _init_worker(payload: Dict[str, object]) -> None:
-    state = dict(payload)
-    state["tensors"] = _decode_operands(payload["tensors"])
-    state["tensor_table"] = _decode_operands(payload["tensor_table"])
-    if payload["use_cache"]:
-        store_config = payload.get("store")
-        store = DiskStore(**store_config) if store_config else None
-        state["cache"] = CompileCache(store=store)
-    else:
-        state["cache"] = None
-    _WORKER_STATE.clear()
-    _WORKER_STATE.update(state)
 
 
 def _stats_snapshot(cache: Optional[CompileCache]):
@@ -368,67 +338,48 @@ def _apply_delta(cache: CompileCache, delta) -> None:
                 cache.registry.counter(f"exec.store.{name}").inc(amount)
 
 
-#: Result arrays at or above this many total bytes ride home through a
-#: shared-memory segment instead of pickling through the pool pipe
-#: (override with ``STELLAR_SHM_RESULT_MIN_BYTES``).
-DEFAULT_RESULT_SHM_MIN_BYTES = 64 * 1024
+#: How many recent sweeps' headers a worker keeps unpickled.  A header
+#: is decoded once per sweep per worker, and every task of a sweep sees
+#: the same spec object, so the compile cache's id-keyed fingerprint
+#: memo and the kernel memo keep hitting.
+_SWEEPS_KEPT = 8
+
+#: Per-process worker state: one long-lived CompileCache plus the
+#: decoded headers of the last ``_SWEEPS_KEPT`` sweeps, by sweep id.
+_RESIDENT_STATE: Dict[str, object] = {}
+
+_SWEEP_IDS = itertools.count()
 
 
-def _result_shm_threshold() -> int:
-    try:
-        return int(
-            os.environ.get(
-                "STELLAR_SHM_RESULT_MIN_BYTES", DEFAULT_RESULT_SHM_MIN_BYTES
-            )
+def _init_resident_worker(store_config) -> None:
+    store = DiskStore(**store_config) if store_config else None
+    _RESIDENT_STATE.clear()
+    _RESIDENT_STATE.update(
+        {"cache": CompileCache(store=store), "sweeps": OrderedDict()}
+    )
+
+
+def _resident_sweep_state(sweep_id: str, header: bytes):
+    sweeps: "OrderedDict[str, Dict[str, object]]" = _RESIDENT_STATE["sweeps"]
+    state = sweeps.get(sweep_id)
+    if state is None:
+        state = pickle.loads(header)
+        state["cache"] = (
+            _RESIDENT_STATE["cache"] if state["use_cache"] else None
         )
-    except ValueError:
-        return DEFAULT_RESULT_SHM_MIN_BYTES
+        sweeps[sweep_id] = state
+        while len(sweeps) > _SWEEPS_KEPT:
+            sweeps.popitem(last=False)
+    else:
+        sweeps.move_to_end(sweep_id)
+    return state
 
 
-def _pack_result_arrays(outcome: Dict[str, object]) -> Dict[str, object]:
-    """Worker side: wrap ``outcome["outputs"]`` for the trip home.
-
-    Bulky arrays (>= the threshold) are published into shared-memory
-    segments the worker immediately detaches from; the parent adopts
-    (copies and unlinks) them, so results are byte-identical to the
-    inline path while the pool pipe only ever carries tiny handles.
-    """
-    outputs = outcome.get("outputs")
-    if outputs is None:
-        return outcome
-    total = sum(array.nbytes for array in outputs.values())
-    if total >= _result_shm_threshold() and shared_memory_available():
-        pool = SharedTensorPool()
-        try:
-            handles = pool.publish(outputs)
-        except ShmUnavailable:  # pragma: no cover - sandboxed /dev/shm
-            pool.close()
-        else:
-            pool.detach()
-            outcome["outputs"] = ("shm-result", handles)
-            return outcome
-    outcome["outputs"] = ("inline", outputs)
-    return outcome
-
-
-def _unpack_result_arrays(outcome: Dict[str, object]) -> None:
-    """Parent side: materialize a packed ``outputs`` payload in place."""
-    packed = outcome.get("outputs")
-    if packed is None or not isinstance(packed, tuple):
-        return
-    transport, value = packed
-    if transport == "inline":
-        outcome["outputs"] = value
-    elif transport == "shm-result":
-        outcome["outputs"] = adopt(value)
-    else:  # pragma: no cover - protocol bug
-        raise ValueError(f"unknown result transport {transport!r}")
-
-
-def _run_point(
-    state: Mapping[str, object], index: int, candidate: Mapping[str, object]
-) -> Dict[str, object]:
-    """Evaluate one candidate against a decoded sweep state (worker side)."""
+def _run_resident_task(task):
+    """Evaluate one candidate in a worker; returns the outcome plus the
+    worker's profile, trace and cache-stats delta for the parent."""
+    sweep_id, header, candidate, tensors = task
+    state = _resident_sweep_state(sweep_id, header)
     cache = state["cache"]
     profiler = Profiler(enabled=True) if state["profile"] else None
     tracer = Tracer(enabled=True) if state["trace"] else None
@@ -439,55 +390,18 @@ def _run_point(
         outcome = _evaluate_point(
             state["spec"],
             state["bounds"],
-            state["tensors"],
+            tensors,
             state["element_bits"],
             candidate,
             cache,
             state["skip_illegal"],
-            tensor_table=state["tensor_table"],
         )
     finally:
         if profiler is not None:
             set_profiler(previous_profiler)
         if tracer is not None:
             set_tracer(previous_tracer)
-    _pack_result_arrays(outcome)
-    outcome["index"] = index
-    outcome["profile"] = profiler
-    outcome["trace"] = tracer
-    outcome["cache_delta"] = _stats_delta(before, _stats_snapshot(cache))
-    return outcome
-
-
-def _run_task(task) -> Dict[str, object]:
-    index, candidate = task
-    return _run_point(_WORKER_STATE, index, candidate)
-
-
-def _ensure_resource_tracker() -> None:
-    """Spawn the shared-memory resource tracker *before* forking workers.
-
-    Forked children then share the parent's tracker process, so the
-    worker-side ``register`` of a result segment and the parent-side
-    ``unlink`` after adoption land in the same cache and coalesce.
-    """
-    try:  # pragma: no cover - trivial plumbing
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-    except Exception:  # noqa: BLE001 - platforms without a tracker
-        pass
-
-
-def _make_pool(workers: int, payload: Dict[str, object]) -> ProcessPoolExecutor:
-    context = _fork_context()
-    _ensure_resource_tracker()
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=context,
-        initializer=_init_worker,
-        initargs=(payload,),
-    )
+    return outcome, profiler, tracer, _stats_delta(before, _stats_snapshot(cache))
 
 
 def _fork_context():
@@ -499,92 +413,41 @@ def _fork_context():
         return multiprocessing.get_context()
 
 
-# ---------------------------------------------------------------------------
-# Resident pools (the serve daemon's workers)
-# ---------------------------------------------------------------------------
-
-#: Per-process state for resident workers: one long-lived CompileCache
-#: plus a bounded memo of decoded sweep payloads keyed by sweep id.
-_RESIDENT_STATE: Dict[str, object] = {}
-
-_SWEEP_IDS = itertools.count()
-
-
-def _init_resident_worker(store_config, sweep_memo: int) -> None:
-    store = DiskStore(**store_config) if store_config else None
-    _RESIDENT_STATE.clear()
-    _RESIDENT_STATE.update(
-        {
-            "cache": CompileCache(store=store),
-            "sweeps": OrderedDict(),
-            "sweep_memo": sweep_memo,
-        }
-    )
-
-
-def _resident_sweep_state(sweep_id: str, payload: Dict[str, object]):
-    sweeps: "OrderedDict[str, Dict[str, object]]" = _RESIDENT_STATE["sweeps"]
-    state = sweeps.get(sweep_id)
-    if state is None:
-        state = dict(payload)
-        state["tensors"] = _decode_operands(payload["tensors"])
-        state["tensor_table"] = _decode_operands(payload["tensor_table"])
-        state["cache"] = (
-            _RESIDENT_STATE["cache"] if payload["use_cache"] else None
-        )
-        sweeps[sweep_id] = state
-        while len(sweeps) > _RESIDENT_STATE["sweep_memo"]:
-            sweeps.popitem(last=False)
-    else:
-        sweeps.move_to_end(sweep_id)
-    return state
-
-
-def _run_resident_task(task) -> Dict[str, object]:
-    sweep_id, payload, index, candidate = task
-    state = _resident_sweep_state(sweep_id, payload)
-    return _run_point(state, index, candidate)
-
-
 class ResidentPool:
-    """A worker pool that outlives a single :func:`evaluate_sweep` call.
+    """The evaluation process pool.
 
-    Plain sweeps build a fresh ``ProcessPoolExecutor`` per call, paying
-    fork plus cold in-memory caches every time -- fine for a CLI batch,
-    wasteful for a long-running daemon answering many requests.  A
-    ``ResidentPool`` keeps the workers alive across sweeps: each worker
-    owns one persistent :class:`~repro.exec.cache.CompileCache` (with
-    its own handle on the shared disk store when ``store_config`` is
-    given), tasks carry a sweep id plus the packed sweep payload, and
-    the worker decodes and memoizes the payload once per sweep (bounded
-    by ``sweep_memo``).  When shared memory is available the per-task
-    payload is only descriptors, so the resend is cheap.
+    Every parallel sweep runs on one: :func:`evaluate_sweep` opens a
+    pool for the length of the call when none is given, and the serve
+    daemon and the fuzz campaign keep one alive across many sweeps.
+    Each worker owns one persistent
+    :class:`~repro.exec.cache.CompileCache` (with its own handle on the
+    shared disk store when ``store_config`` is given).  A task carries
+    the sweep's small header (spec, sweep-wide bounds, flags; pickled
+    once per sweep), one candidate and that candidate's own operand
+    set.
 
     The pool is lazy: workers fork on first use, and :meth:`close`
     (also the context-manager exit) retires them.  If the executor
     cannot be created at all, :func:`evaluate_sweep` falls back to
-    serial inline evaluation exactly like the per-sweep pool path.
+    serial inline evaluation.
     """
 
     def __init__(
         self,
         jobs: Optional[int] = None,
         store_config: Optional[Dict[str, object]] = None,
-        sweep_memo: int = 8,
     ):
         self.workers = resolve_jobs(jobs)
         self.store_config = dict(store_config) if store_config else None
-        self.sweep_memo = sweep_memo
         self._executor: Optional[ProcessPoolExecutor] = None
 
     def executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            _ensure_resource_tracker()
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=_fork_context(),
                 initializer=_init_resident_worker,
-                initargs=(self.store_config, self.sweep_memo),
+                initargs=(self.store_config,),
             )
         return self._executor
 
@@ -613,19 +476,6 @@ class ResidentPool:
 # ---------------------------------------------------------------------------
 
 
-def _pack_operands(pool: Optional[SharedTensorPool], tensors, table: bool):
-    """Ship an operand payload through shared memory when a pool is
-    live, inline otherwise.  Raises :class:`ShmUnavailable` (caught by
-    the caller, which retries inline) if segment creation fails."""
-    if tensors is None:
-        return None
-    if pool is None:
-        return ("inline", tensors)
-    if table:
-        return ("shm-table", pool.publish_table(tensors))
-    return ("shm", pool.publish(tensors))
-
-
 def evaluate_sweep(
     spec,
     bounds,
@@ -652,137 +502,89 @@ def evaluate_sweep(
 
     ``on_outcome(index, outcome)`` -- when given -- is invoked once per
     candidate *in candidate order* as each outcome is finalized (worker
-    observability merged, result payloads materialized), so callers can
-    stream results before the sweep completes; parallel sweeps release
-    outcome ``i`` once candidates ``0..i`` have all finished, which
-    keeps the stream order deterministic no matter how the pool
-    interleaves.
+    observability merged), so callers can stream results before the
+    sweep completes; parallel sweeps release outcome ``i`` once
+    candidates ``0..i`` have all finished, which keeps the stream order
+    deterministic no matter how the pool interleaves.
 
     ``jobs`` follows :func:`resolve_jobs`; with one worker the sweep
-    runs inline in this process.  ``pool`` routes the fan-out through a
-    long-lived :class:`ResidentPool` instead of a per-sweep executor
-    (the serve daemon's configuration); ``jobs`` is ignored in that
-    case.  If a pool cannot be created (no process-spawning rights in a
-    sandbox) or shared-memory segments cannot be allocated, the sweep
-    silently degrades -- to serial, or to inline operand shipping --
-    with identical results by construction.
+    runs inline in this process, with more it runs on a
+    :class:`ResidentPool` opened for this call.  ``pool`` supplies a
+    long-lived pool instead (the serve daemon's configuration); ``jobs``
+    is ignored in that case.  If a pool cannot be created (no
+    process-spawning rights in a sandbox) the sweep silently runs
+    serially, with identical results by construction.
     """
-    if pool is not None:
-        workers = min(pool.workers, max(1, len(candidates)))
-    else:
-        workers = resolve_jobs(jobs)
-        workers = min(workers, max(1, len(candidates)))
-
-    if workers <= 1:
-        outcomes = []
-        for index, candidate in enumerate(candidates):
-            outcome = _evaluate_point(
-                spec, bounds, tensors, element_bits, candidate, cache,
-                skip_illegal, tensor_table=tensor_table,
-            )
-            outcomes.append(outcome)
-            if on_outcome is not None:
-                on_outcome(index, outcome)
-        skipped = sum(1 for out in outcomes if out["status"] == "illegal")
-        return outcomes, EngineReport(
-            jobs=1,
-            evaluated=len(outcomes) - skipped,
-            skipped=skipped,
-            cache_stats=cache.stats if cache is not None else None,
+    requested = pool.workers if pool is not None else resolve_jobs(jobs)
+    workers = min(requested, max(1, len(candidates)))
+    owned = pool is None and workers > 1
+    if owned:
+        store = cache.store if cache is not None else None
+        pool = ResidentPool(
+            workers, store.spawn_config() if store is not None else None
         )
-
-    # Publish operands into shared memory once; every worker maps the
-    # same segments instead of re-pickling arrays per task.
-    shm_pool: Optional[SharedTensorPool] = None
-    packed_tensors = packed_table = None
-    if shared_memory_available():
-        try:
-            shm_pool = SharedTensorPool()
-            packed_tensors = _pack_operands(shm_pool, tensors, table=False)
-            packed_table = _pack_operands(shm_pool, tensor_table, table=True)
-        except ShmUnavailable:  # pragma: no cover - sandboxed /dev/shm
-            if shm_pool is not None:
-                shm_pool.close()
-            shm_pool = None
-    if shm_pool is None:
-        packed_tensors = _pack_operands(None, tensors, table=False)
-        packed_table = _pack_operands(None, tensor_table, table=True)
-
-    store = cache.store if cache is not None else None
-    payload = {
-        "spec": spec,
-        "bounds": bounds,
-        "tensors": packed_tensors,
-        "tensor_table": packed_table,
-        "element_bits": element_bits,
-        "skip_illegal": skip_illegal,
-        "use_cache": cache is not None,
-        "store": store.spawn_config() if store is not None else None,
-        "profile": get_profiler().enabled,
-        "trace": get_tracer().enabled,
-    }
-
-    try:
-        if pool is not None:
-            executor = pool.executor()
-            sweep_id = f"{os.getpid()}-{next(_SWEEP_IDS)}"
-
-            def submit(index, candidate):
-                return executor.submit(
-                    _run_resident_task, (sweep_id, payload, index, candidate)
-                )
-
-            owns_executor = False
-        else:
-            executor = _make_pool(workers, payload)
-
-            def submit(index, candidate):
-                return executor.submit(_run_task, (index, candidate))
-
-            owns_executor = True
-    except (OSError, PermissionError):  # pragma: no cover - sandboxed envs
-        if shm_pool is not None:
-            shm_pool.close()
-        return evaluate_sweep(
-            spec, bounds, tensors, candidates,
-            element_bits=element_bits, skip_illegal=skip_illegal,
-            jobs=1, cache=cache, tensor_table=tensor_table,
-            on_outcome=on_outcome,
-        )
-
-    outcomes: List[Optional[Dict[str, object]]] = [None] * len(candidates)
     profiler = get_profiler()
     tracer = get_tracer()
+    outcomes: List[Dict[str, object]] = []
     try:
-        futures = [
-            submit(index, candidate)
-            for index, candidate in enumerate(candidates)
-        ]
-        # Collect in submission order: outcomes are finalized, merged
-        # back, and streamed in sweep order no matter how the pool
-        # interleaves, and the first failing candidate (by sweep order,
-        # not completion order) raises, deterministically.
-        for future in futures:
-            outcome = future.result()
-            index = outcome.pop("index")
-            worker_profile = outcome.pop("profile", None)
-            worker_trace = outcome.pop("trace", None)
-            cache_delta = outcome.pop("cache_delta", None)
+        executor = None
+        if workers > 1:
+            try:
+                executor = pool.executor()
+            except (OSError, PermissionError):  # pragma: no cover - sandboxes
+                workers = 1
+        if executor is None:
+            results = (
+                (
+                    _evaluate_point(
+                        spec, bounds, _operands(candidate, tensors, tensor_table),
+                        element_bits, candidate, cache, skip_illegal,
+                    ),
+                    None, None, None,
+                )
+                for candidate in candidates
+            )
+        else:
+            header = pickle.dumps(
+                {
+                    "spec": spec,
+                    "bounds": bounds,
+                    "element_bits": element_bits,
+                    "skip_illegal": skip_illegal,
+                    "use_cache": cache is not None,
+                    "profile": profiler.enabled,
+                    "trace": tracer.enabled,
+                }
+            )
+            sweep_id = f"{os.getpid()}-{next(_SWEEP_IDS)}"
+            futures = [
+                executor.submit(
+                    _run_resident_task,
+                    (sweep_id, header, candidate,
+                     _operands(candidate, tensors, tensor_table)),
+                )
+                for candidate in candidates
+            ]
+            results = (future.result() for future in futures)
+        # Collect in candidate order: outcomes are merged back and
+        # streamed in sweep order no matter how the pool interleaves,
+        # and the first failing candidate (by sweep order, not
+        # completion order) raises, deterministically.
+        for index, (outcome, worker_profile, worker_trace, delta) in enumerate(
+            results
+        ):
             if worker_profile is not None and profiler.enabled:
                 profiler.merge(worker_profile)
             if worker_trace is not None and tracer.enabled:
                 tracer.merge(worker_trace)
             if cache is not None:
-                _apply_delta(cache, cache_delta)
-            _unpack_result_arrays(outcome)
-            outcomes[index] = outcome
+                _apply_delta(cache, delta)
+            outcomes.append(outcome)
             if on_outcome is not None:
                 on_outcome(index, outcome)
     finally:
-        if owns_executor:
-            executor.shutdown(wait=True)
-        if shm_pool is not None:
-            shm_pool.close()
+        if owned:
+            pool.close()
 
     skipped = sum(1 for out in outcomes if out["status"] == "illegal")
     return outcomes, EngineReport(

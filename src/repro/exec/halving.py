@@ -31,8 +31,7 @@ truncation with the successive-halving schedule:
 
 Every rung routes through one
 :func:`~repro.exec.engine.evaluate_sweep` call, so the ResidentPool,
-shared-memory transport, DiskStore, and compile-cache sharing all apply
-per rung.  The final winner is picked off the full Pareto frontier,
+DiskStore, and compile-cache sharing all apply per rung.  The final winner is picked off the full Pareto frontier,
 optionally filtered by declarative suite-level constraints
 (``area<=N,power<=N`` -- TeAAL-style), and the result surfaces the full
 per-layer frontier plus per-rung evaluation counts.

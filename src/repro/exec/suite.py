@@ -7,9 +7,9 @@ routes a whole suite through :func:`repro.exec.engine.evaluate_sweep`
 as one candidate list -- each layer becomes a candidate carrying its
 own bounds and a ``tensors_key`` into the sweep's shared tensor table
 -- so layers share the compile cache (most ResNet shapes collapse onto
-a handful of tile configurations), fan out over the process pool with
-shared-memory operands, and warm-start from the persistent disk store
-on repeat invocations.
+a handful of tile configurations), fan out over the process pool (each
+task carrying only its own layer's operands), and warm-start from the
+persistent disk store on repeat invocations.
 
 Layer shapes are evaluated at a *tile* scale: each matmul dimension is
 clipped to ``cap`` (cycle-accurate simulation of a full 12544x64x576
@@ -637,9 +637,9 @@ def evaluate_suite(
     ``on_row(index, row)`` streams each finished per-layer row (case
     info and bounds merged in, identical to the row in the returned
     result) in case order before the call returns -- the serve daemon's
-    streaming hook.  ``pool`` routes the fan-out through a resident
-    :class:`~repro.exec.engine.ResidentPool` instead of a per-sweep
-    executor.
+    streaming hook.  ``pool`` routes the fan-out through a long-lived
+    :class:`~repro.exec.engine.ResidentPool` instead of one opened for
+    this call.
     """
     candidates = suite.candidates()
     rows: List[Optional[Dict[str, object]]] = [None] * len(candidates)

@@ -288,8 +288,7 @@ class Netlist:
 
     def lint(self) -> List[str]:
         # Error-severity findings of the netlist dataflow analyzer in the
-        # legacy ``module: message`` string format (the deprecated
-        # ``repro.rtl.lint`` facade is no longer on this path).
+        # legacy ``module: message`` string format.
         from ..analysis.diagnostics import Severity
         from ..analysis.netlist import check_netlist
 

@@ -226,7 +226,20 @@ class EvalServer:
         self._connections.add(task)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as err:
+                    # The line overran the stream limit and its tail is
+                    # still unread, so answer once and hang up.
+                    self._requests.inc()
+                    self._errors.inc()
+                    await self._send(
+                        writer,
+                        error_message(
+                            "request-too-large", f"request line too long: {err}"
+                        ),
+                    )
+                    break
                 if not line:
                     break
                 line = line.strip()

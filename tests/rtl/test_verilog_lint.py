@@ -192,28 +192,12 @@ class TestLint:
 
 
 class TestDeprecatedLintFacade:
-    """repro.rtl.lint warns but keeps its legacy string contract."""
-
-    def test_lint_module_warns_and_matches_analyzer(self):
-        from repro.rtl import lint
-
-        m = _counter_module()
-        nl = Netlist(m.name)
-        nl.add(m)
-        with pytest.warns(DeprecationWarning, match="check_module"):
-            assert lint.lint_module(m, nl) == lint_module(m, nl)
-
-    def test_lint_netlist_warns_and_matches_analyzer(self):
-        from repro.rtl import lint
-
-        nl = Netlist("nothing")
-        with pytest.warns(DeprecationWarning, match="check_netlist"):
-            assert lint.lint_netlist(nl) == [
-                "top module 'nothing' is missing"
-            ]
+    """The deprecated repro.rtl.lint facade is gone for good."""
 
     def test_facade_no_longer_reexported(self):
         import repro.rtl as rtl
 
         assert "lint_module" not in rtl.__all__
         assert "lint_netlist" not in rtl.__all__
+        with pytest.raises(ModuleNotFoundError):
+            import repro.rtl.lint  # noqa: F401

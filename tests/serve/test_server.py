@@ -136,6 +136,23 @@ class TestNegativePaths:
             stream.close()
             sock.close()
 
+    def test_oversized_request_line_is_a_structured_error(self, harness):
+        h = harness()
+        sock, stream = self.raw_connection(h)
+        try:
+            # Past asyncio's 64 KiB readline limit, well inside the
+            # socket buffer so the send completes before the reply.
+            reply = self.roundtrip(stream, b'{"pad": "' + b"x" * 80_000 + b'"}')
+            assert reply["type"] == "error"
+            assert reply["code"] == "request-too-large"
+            assert reply["message"]
+            assert stream.readline() == b""  # the server hung up
+        finally:
+            stream.close()
+            sock.close()
+        assert h.client.ping()["type"] == "pong"
+        assert h.client.metrics()["server"]["errors"] == 1
+
     def test_bad_table_is_a_suite_error_terminal(self, harness):
         h = harness()
         with pytest.raises(ServeError) as excinfo:
