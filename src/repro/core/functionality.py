@@ -350,22 +350,31 @@ class FunctionalSpec:
         self, assignment: Assignment, env: Mapping[str, int], bounds: Bounds
     ) -> bool:
         """Does this assignment's boundary pattern match the current point?"""
+        return all(
+            env[name] == want
+            for name, want in self.boundary_pins(assignment, bounds)
+        )
+
+    def boundary_pins(
+        self, assignment: Assignment, bounds: Bounds
+    ) -> List[Tuple[str, int]]:
+        """``(index, coordinate)`` pairs a point must match for
+        ``assignment`` to fire there; no pins means every point."""
         if assignment.kind is AssignmentKind.OUTPUT:
             # Outputs fire where the RHS boundary markers match.
-            for access in assignment.rhs.references():
-                for sub in access.subscripts:
-                    if isinstance(sub, BoundMarker):
-                        lo, hi = bounds[sub.index.name]
-                        want = lo if sub.which == "lb" else hi
-                        if env[sub.index.name] != want:
-                            return False
-            return True
-        for name, which in assignment.boundary_conditions().items():
+            markers = [
+                (sub.index.name, sub.which)
+                for access in assignment.rhs.references()
+                for sub in access.subscripts
+                if isinstance(sub, BoundMarker)
+            ]
+        else:
+            markers = list(assignment.boundary_conditions().items())
+        pins = []
+        for name, which in markers:
             lo, hi = bounds[name]
-            want = lo if which == "lb" else hi
-            if env[name] != want:
-                return False
-        return True
+            pins.append((name, lo if which == "lb" else hi))
+        return pins
 
 
 class _Interpreter:

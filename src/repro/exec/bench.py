@@ -314,10 +314,10 @@ def run_kernel_bench(
 ) -> Dict[str, object]:
     """Scalar reference interpreter vs trace-compiled batched kernel.
 
-    Every sparse ``SpatialArraySim.run`` funnels its functional outputs
-    through the reference interpretation, so this ratio is what the
-    kernel path buys sparse suite sweeps.  Both backends must produce
-    byte-identical output arrays (``results_identical``), and the gate
+    Every ``SpatialArraySim.run``, dense or sparse, funnels its
+    functional outputs through the reference interpretation, so this
+    ratio is what the kernel path buys suite sweeps.  Both backends must
+    produce byte-identical output arrays (``results_identical``), and the gate
     is twofold: the relative :data:`REGRESSION_RATIO` check against the
     committed baseline, plus the absolute :data:`KERNEL_MIN_SPEEDUP`
     floor carried in the report as ``min_speedup``.

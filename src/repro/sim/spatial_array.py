@@ -7,14 +7,21 @@ space-time coordinates through ``T^-1``; if the point is live it performs
 its assignments, pulling operands from PE-to-PE connections or register
 files, and counting busy/idle cycles and IO traffic.
 
-Dense designs execute the full iteration domain.  Sparse designs -- those
-compiled with pessimistic ``Skip`` s -- first *compress* each skipped
-iterator against the actual tensor contents (only nonzero coordinates
-occupy iteration slots) and schedule the compressed points; workload
-imbalance then appears exactly as in the paper's Figure 6: short fibers
-leave their PEs idle while long fibers run on.  When the design has a
-load-balancing scheme, the balancer simulator redistributes that work and
-shortens the schedule.
+Timing comes from the spatial mapping alone and values from the
+functional spec.  Dense designs schedule the full iteration domain in
+one vectorized pass over ``points @ T.T`` -- timestep occupancy, busy and
+idle cycles, MACs and regfile traffic -- and take their output values
+from the reference semantics (the trace-compiled kernel, with the scalar
+interpreter as fallback); a causal transform computes exactly those
+values, and ``compile_design`` rejects every acausal one.
+
+Sparse designs -- those compiled with pessimistic ``Skip`` s -- first
+*compress* each skipped iterator against the actual tensor contents
+(only nonzero coordinates occupy iteration slots) and schedule the
+compressed points; workload imbalance then appears exactly as in the
+paper's Figure 6: short fibers leave their PEs idle while long fibers
+run on.  When the design has a load-balancing scheme, the balancer
+simulator redistributes that work and shortens the schedule.
 """
 
 from __future__ import annotations
@@ -85,10 +92,12 @@ class SpatialArraySim:
         whole dense runs are memoized per ``(spec, bounds, transform,
         pe_count, tensors, fill_drain_overhead)`` -- the dense path is
         independent of the sparsity/balancing axes -- and the sparse path
-        memoizes its sub-products: workload compression per ``(spec,
-        bounds, sparsity, tensors)`` and the reference interpretation per
-        ``(spec, bounds, tensors)``.  Sparse *results* are never memoized
-        whole because cycle counts depend on the balancing axis.
+        memoizes workload compression per ``(spec, bounds, sparsity,
+        tensors)``.  Both paths take output values from the reference
+        interpretation memoized per ``(spec, bounds, tensors)``, so every
+        design simulated on one workload shares it.  Sparse *results* are
+        never memoized whole because cycle counts depend on the balancing
+        axis.
     vectorize:
         When ``False``, skip-condition evaluation always takes the exact
         point-at-a-time path instead of the batched numpy evaluator.
@@ -98,11 +107,12 @@ class SpatialArraySim:
         (keyed on content, not on the evaluation strategy) will answer
         for the other path.
     kernel:
-        When ``True`` (the default), reference outputs come from the
-        trace-compiled batched kernel (:mod:`repro.sim.kernel`) whenever
-        the spec is traceable, falling back to the scalar interpreter
-        otherwise.  ``kernel=False`` forces the scalar ground-truth
-        path; the differential suite proves the two byte-identical.
+        When ``True`` (the default), output values -- dense and sparse
+        alike -- come from the trace-compiled batched kernel
+        (:mod:`repro.sim.kernel`) whenever the spec is traceable, falling
+        back to the scalar interpreter otherwise.  ``kernel=False``
+        forces the scalar ground-truth path; the differential suite
+        proves the two byte-identical.
         As with ``vectorize``, pass ``memo=None`` when comparing paths,
         or the content-keyed reference memo will answer for both.
     fidelity:
@@ -151,7 +161,7 @@ class SpatialArraySim:
         return any(not skip.optimistic for skip in self.design.sparsity)
 
     # ------------------------------------------------------------------
-    # Dense execution: exact space-time propagation
+    # Dense execution: vectorized schedule, kernel-computed values
     # ------------------------------------------------------------------
 
     def _run_dense(self, tensors: Mapping[str, np.ndarray]) -> SimResult:
@@ -161,13 +171,11 @@ class SpatialArraySim:
         transform = design.transform
         counters = PerfCounters()
 
-        # Group live iteration points by timestep.  Multi-dimensional time
-        # (e.g. a batched matmul folding the batch axis into a second time
-        # dimension) orders timesteps lexicographically; each occupied
-        # time tuple is one cycle.  The whole domain maps through ``T`` in
-        # one matrix product, and the PE-side ``T^-1`` round-trip (each
-        # PE's IO request generator) is one more product against the
-        # integer numerator matrix -- exact, no per-point Fractions.
+        # Timing comes from the spatial mapping alone.  The whole domain
+        # maps through ``T`` in one matrix product, and the PE-side
+        # ``T^-1`` round-trip (each PE's IO request generator) is one more
+        # product against the integer numerator matrix -- exact, no
+        # per-point Fractions.
         points = _domain_grid(bounds, spec.index_names)
         tmat = np.array(transform.matrix, dtype=np.int64)
         st = points @ tmat.T
@@ -181,84 +189,51 @@ class SpatialArraySim:
             raise SpecError(
                 f"space-time transform is not invertible on point {point}"
             )
-        by_time: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-        time_keys = st[:, transform.space_dims :].tolist()
-        for key, row in zip(time_keys, points.tolist()):
-            by_time.setdefault(tuple(key), []).append(tuple(row))
-
-        values: Dict[Tuple[str, Tuple[int, ...]], object] = {}
-        outputs: Dict[str, Dict[Tuple[int, ...], object]] = {
-            t.name: {} for t in spec.output_tensors()
-        }
-        interpreter = _SimInterpreter(spec, bounds, tensors, values)
-        has_compute = {
-            a.variable.name
-            for a in spec.assignments
-            if a.kind is AssignmentKind.COMPUTE
-        }
-        pe_count = design.array.pe_count
-        macs_per_point = max(1, spec.macs_per_point())
-
+        # Every domain point is live exactly once.  One time dimension
+        # spans ``t_min..t_max`` (empty timesteps included); several order
+        # the occupied time tuples lexicographically, one cycle each.
+        times = st[:, transform.space_dims:]
         if transform.time_dims == 1:
-            t_min, t_max = min(by_time)[0], max(by_time)[0]
-            timesteps = [(t,) for t in range(t_min, t_max + 1)]
+            t_min = int(times[:, 0].min())
+            live = np.bincount(times[:, 0] - t_min)
+            steps = (t_min + np.arange(len(live)))[:, None]
         else:
-            timesteps = sorted(by_time)
+            steps, live = np.unique(times, axis=0, return_counts=True)
+        schedule = len(live)
+        work = len(points)
+        pe_count = design.array.pe_count
+        counters.pe_busy_cycles = work
+        counters.pe_idle_cycles = (
+            (schedule + self.fill_drain_overhead) * pe_count - work
+        )
+        counters.macs = work * max(1, spec.macs_per_point())
+        counters.regfile_reads, counters.regfile_writes = _regfile_traffic(
+            spec, bounds, points
+        )
+        counters.cycles = schedule + self.fill_drain_overhead
+
         tracer = get_tracer()
         if tracer.enabled:
             tracer.begin(
                 "dense_run", component="sim.array",
-                cycle=0, pes=pe_count, timesteps=len(timesteps),
+                cycle=0, pes=pe_count, timesteps=schedule,
             )
-        for step_index, t in enumerate(timesteps):
-            live = sorted(by_time.get(t, ()))
-            counters.pe_busy_cycles += len(live)
-            counters.pe_idle_cycles += pe_count - len(live)
-            if tracer.enabled:
+            for step_index, (t, count) in enumerate(
+                zip(steps.tolist(), live.tolist())
+            ):
                 tracer.instant(
                     "timestep", component="sim.array",
-                    cycle=step_index, live_pes=len(live), time=list(t),
+                    cycle=step_index, live_pes=count, time=t,
                 )
-            for point in live:
-                env = dict(zip(spec.index_names, point))
-                ctx = EvalContext(env, bounds, interpreter.read)
-                for assignment in spec.assignments:
-                    if not spec._applies_at(assignment, env, bounds):
-                        continue
-                    if assignment.kind is AssignmentKind.OUTPUT:
-                        coords = tuple(
-                            int(s.evaluate(env, bounds))
-                            for s in assignment.lhs.subscripts
-                        )
-                        outputs[assignment.lhs.target.name][coords] = (
-                            assignment.rhs.evaluate(ctx)
-                        )
-                        counters.regfile_writes += 1
-                    else:
-                        if (
-                            assignment.kind is not AssignmentKind.COMPUTE
-                            and assignment.variable.name in has_compute
-                        ):
-                            continue
-                        key = (assignment.variable.name, point)
-                        if key not in values:
-                            values[key] = assignment.rhs.evaluate(ctx)
-                        if assignment.kind is AssignmentKind.INPUT:
-                            counters.regfile_reads += 1
-                counters.macs += macs_per_point
-
-        schedule = len(timesteps)
-        counters.cycles = schedule + self.fill_drain_overhead
-        counters.pe_idle_cycles += self.fill_drain_overhead * pe_count
-        if tracer.enabled:
             tracer.end(
                 "dense_run", component="sim.array",
                 cycle=counters.cycles, macs=counters.macs,
             )
-        result_outputs = {
-            name: _cells_to_array(cells) for name, cells in outputs.items()
-        }
-        return SimResult(result_outputs, counters, schedule)
+        # Values come from the functional spec: for a causal transform
+        # (``validate_schedule`` proves it at compile time) the spatial
+        # schedule computes exactly what the reference semantics do.
+        outputs = self._reference_outputs(tensors)
+        return SimResult(outputs, counters, schedule)
 
     # ------------------------------------------------------------------
     # Sparse execution: compressed scheduling
@@ -534,6 +509,37 @@ def _linearize_times(times_nd: np.ndarray) -> np.ndarray:
     return ((times_nd - mins) * strides).sum(axis=1)
 
 
+def _regfile_traffic(spec, bounds, points: np.ndarray) -> Tuple[int, int]:
+    """``(reads, writes)`` of a dense run over ``points``.
+
+    Each OUTPUT rule writes once per point its boundary pins match; each
+    INPUT rule reads once per matching point, except for variables with
+    an interior recurrence, whose boundary loads only describe the
+    phantom slot outside the domain.
+    """
+    axis_of = {name: axis for axis, name in enumerate(spec.index_names)}
+    has_compute = {
+        a.variable.name
+        for a in spec.assignments
+        if a.kind is AssignmentKind.COMPUTE
+    }
+    reads = writes = 0
+    for assignment in spec.assignments:
+        kind = assignment.kind
+        if kind is AssignmentKind.INPUT and assignment.variable.name in has_compute:
+            continue
+        if kind not in (AssignmentKind.INPUT, AssignmentKind.OUTPUT):
+            continue
+        fires = np.ones(len(points), dtype=bool)
+        for name, want in spec.boundary_pins(assignment, bounds):
+            fires &= points[:, axis_of[name]] == want
+        if kind is AssignmentKind.OUTPUT:
+            writes += int(fires.sum())
+        else:
+            reads += int(fires.sum())
+    return reads, writes
+
+
 def _domain_grid(bounds, order: Sequence[str]) -> np.ndarray:
     """The iteration domain as an ``(N, rank)`` int array, rows ordered
     exactly like ``bounds.domain(order)`` (lexicographic)."""
@@ -670,61 +676,6 @@ def _condition_holds(condition, ctx: EvalContext, tensors) -> bool:
     return bool(condition.evaluate(ctx))
 
 
-class _SimInterpreter:
-    """Value resolution identical to the reference interpreter's."""
-
-    def __init__(self, spec, bounds, tensors, values):
-        self.spec = spec
-        self.bounds = bounds
-        self.tensors = tensors
-        self.values = values
-
-    def read(self, symbol, coords: Tuple[int, ...]):
-        from ..core.expr import Tensor as TensorSym
-
-        if isinstance(symbol, TensorSym):
-            array = self.tensors.get(symbol.name)
-            if array is None:
-                raise SpecError(f"no data provided for tensor {symbol.name!r}")
-            return array[coords]
-        key = (symbol.name, coords)
-        if key in self.values:
-            return self.values[key]
-        env = dict(zip(self.spec.index_names, coords))
-        for name in reversed(self.spec.index_names):
-            lo, hi = self.bounds[name]
-            if env[name] < lo or env[name] > hi:
-                clamped = dict(env)
-                clamped[name] = lo if env[name] < lo else hi
-                for assignment in self.spec.assignments_for(symbol.name):
-                    conds = assignment.boundary_conditions()
-                    which = conds.get(name)
-                    if which == ("lb" if env[name] < lo else "ub"):
-                        ctx = EvalContext(clamped, self.bounds, self.read)
-                        return assignment.rhs.evaluate(ctx)
-                raise SpecError(
-                    f"read of {symbol.name} at out-of-domain {coords} without"
-                    f" a boundary rule on {name!r}"
-                )
-        raise SpecError(
-            f"read of {symbol.name} at {coords} before its producing timestep"
-            " -- the space-time transform violates a dependency"
-        )
-
-
-def _cells_to_array(cells: Dict[Tuple[int, ...], object]) -> np.ndarray:
-    if not cells:
-        return np.zeros((0,))
-    rank = len(next(iter(cells)))
-    shape = tuple(max(c[axis] for c in cells) + 1 for axis in range(rank))
-    sample = next(iter(cells.values()))
-    dtype = np.float64 if isinstance(sample, float) else np.int64
-    out = np.zeros(shape, dtype=dtype)
-    for coords, value in cells.items():
-        out[coords] = value
-    return out
-
-
 def differential_run(
     design: CompiledDesign,
     tensors: Mapping[str, np.ndarray],
@@ -734,12 +685,12 @@ def differential_run(
     """Run ``design`` with memoization disabled -- the oracle entry point.
 
     Differential comparisons of the simulator's redundant evaluation
-    strategies (scalar vs vectorized skip evaluation, kernel vs scalar
-    reference) are only meaningful when each invocation actually
-    exercises its own path; the content-keyed memos would otherwise
-    answer for both sides.  This helper pins ``memo=None`` so callers
-    (the ``repro.fuzz`` oracles, the differential test suite) cannot get
-    that wrong.
+    strategies (scalar vs vectorized skip evaluation on sparse designs;
+    kernel vs scalar output values on every design) are only meaningful
+    when each invocation actually exercises its own path; the
+    content-keyed memos would otherwise answer for both sides.  This
+    helper pins ``memo=None`` so callers (the ``repro.fuzz`` oracles, the
+    differential test suite) cannot get that wrong.
     """
     sim = SpatialArraySim(
         design, memo=None, vectorize=vectorize, kernel=kernel

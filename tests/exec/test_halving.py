@@ -29,6 +29,8 @@ from repro.exec.halving import (
     MIN_RUNG_CAP,
     Constraint,
     HalvingResult,
+    _clip_case,
+    _suite_full_cap,
     fidelity_ladder,
     halving_autotune_suite,
     parse_constraints,
@@ -138,6 +140,28 @@ class TestDifferential:
         fixed = evaluate_suite(_suite(), jobs=1, cache=CompileCache())
         halved = _halve()
         assert halved.fixed_total_cycles == fixed.total_cycles
+
+
+class TestReferenceSharing:
+    def test_reference_built_once_per_layer_and_fidelity(self):
+        """Dense and sparse runs take their output values from one
+        ``sim.reference`` entry per distinct (layer, fidelity) workload;
+        the many designs simulated on it never rebuild it."""
+        suite = _suite("alexnet")
+        cache = CompileCache()
+        halving_autotune_suite(suite, eta=2, jobs=1, cache=cache)
+        workloads = set()
+        for cap in fidelity_ladder(_suite_full_cap(suite), 2):
+            for case in suite.cases:
+                if cap is None:
+                    bounds, tensors = case.bounds, case.tensors
+                else:
+                    bounds, tensors, _clipped = _clip_case(case, cap)
+                workloads.add(cache.key((suite.spec, bounds, tensors)))
+        _hits, reference_builds = cache.stats.by_stage["sim.reference"]
+        _hits, dense_runs = cache.stats.by_stage["sim.dense"]
+        assert reference_builds == len(workloads)
+        assert dense_runs > reference_builds
 
 
 class TestDiskStoreIdentity:
