@@ -37,9 +37,14 @@ def _never_worse_than_fixed(kind, a):
 
 
 def autotune(a, b):
-    """Identical winner rows; the aggregate never loses to the fixed
-    design (the fixed baseline is always on the candidate list)."""
+    """Identical winner rows from one exact rung (halving at eta 1); the
+    aggregate never loses to the fixed design (the fixed baseline is
+    always on the candidate list)."""
     assert a["rows"] == b["rows"], "autotune winner rows differ between runs"
+    assert a["eta"] == 1, f"autotune ran at eta {a['eta']}, not 1"
+    assert [r["fidelity"] for r in a["rungs"]] == ["full"], (
+        f"autotune is not a single full rung: {a['rungs']}"
+    )
     agg = _never_worse_than_fixed("autotuned", a)
     winners = {(r["name"], r["transform"], r["sparsity"]) for r in a["rows"]}
     assert len(winners) == len(a["rows"])

@@ -8,10 +8,11 @@ straight from a checkout::
                                                   [-o BENCH_dse.json]
 
 Equivalent to ``python -m repro bench``.  Runs the DSE wall-clock sweep
-plus the membuf/dma/merger micro-sweeps, the cold-vs-warm
-``suite_resnet50`` disk-cache bench, and the ``autotune_resnet50``
-fixed-vs-autotuned comparison (which must also be run-to-run identical
-and never worse than the fixed design), writes/updates the named report
+plus the membuf/dma/merger micro-sweeps, the kernel-reference bench,
+the cold-vs-warm ``suite_resnet50`` disk-cache bench, and the
+``autotune_halving`` successive-halving-vs-exhaustive comparison (which
+must also be run-to-run identical and never worse than the exhaustive
+search), writes/updates the named report
 file (default ``BENCH_dse.json`` in the current directory), and exits 1
 when any sweep's speedup regressed more than 2x relative to its
 committed baseline.

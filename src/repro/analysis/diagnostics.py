@@ -22,7 +22,8 @@ Code namespaces (documented in DESIGN.md):
   one code per oracle -- 001 ``sim.scalar_vs_vectorized``, 002
   ``sim.interpreter_vs_kernel``, 003 ``exec.serial_vs_parallel``, 004
   ``exec.cold_vs_warm``, 005 ``rtl.opt0_vs_opt2``, 006
-  ``exec.halving_eta1_vs_exhaustive``.
+  ``exec.halving_eta1_vs_exhaustive`` (the autotuner's single exact rung
+  against a brute-force winner search).
 """
 
 from __future__ import annotations

@@ -17,12 +17,11 @@ Wraps the Figure 1 flow for quick use without writing Python:
   warm-start from the persistent disk cache (``--no-disk-cache`` and
   ``STELLAR_CACHE_DIR`` control it); ``--autotune`` crosses each layer
   with the DSE design space and picks the Pareto-best design point per
-  layer under ``--objective`` (cycles / energy / edp), within an
-  optional per-layer candidate ``--budget`` (a deterministic stratified
-  sample across the transform axis); ``--halving`` switches to the
-  multi-fidelity successive-halving autotuner over the widened design
-  space (membuf / DMA / regfile axes, ``--eta`` halving rate,
-  ``--constraint`` declarative frontier filters); ``--server`` routes
+  layer under ``--objective`` (cycles / energy / edp) -- the exhaustive
+  single exact rung of the successive-halving autotuner; ``--halving``
+  prunes the widened design space (membuf / DMA / regfile axes) with
+  multi-fidelity rungs at ``--eta`` halving rate; both take
+  ``--constraint`` declarative frontier filters; ``--server`` routes
   the whole request through a running ``repro serve`` daemon instead of
   evaluating in-process;
 * ``serve`` -- run the resident evaluation daemon: newline-delimited
@@ -51,9 +50,10 @@ Wraps the Figure 1 flow for quick use without writing Python:
 * ``fuzz`` -- run the property-based differential fuzzing campaign:
   seeded random design points through six cross-backend oracles
   (scalar vs vectorized simulation, interpreter vs kernel, serial vs
-  parallel sweep, cold vs warm cache, RTL opt0 vs opt2, halving vs
-  exhaustive autotuning); mismatches are shrunk to minimal replayable
-  artifacts in the corpus directory (``--replay`` re-runs one);
+  parallel sweep, cold vs warm cache, RTL opt0 vs opt2, single-rung
+  halving vs brute-force winner search); mismatches are shrunk to
+  minimal replayable artifacts in the corpus directory (``--replay``
+  re-runs one);
   same 0/1/2 exit contract as ``check``.
 
 Specs, dataflows, sparsity structures, and balancing schemes are selected
@@ -391,7 +391,6 @@ def _sweep_via_server(args) -> int:
             eta=args.eta,
             constraint=args.constraint,
             objective=args.objective,
-            budget=args.budget,
             on_trace=on_trace,
         )
     except ServeError as err:
@@ -464,17 +463,24 @@ def cmd_sweep(args) -> int:
     else:
         cache = persistent_compile_cache(args.cache_dir)
 
-    if args.halving:
+    if args.halving or args.autotune:
+        from .dse.space import suite_design_space
         from .exec.halving import halving_autotune_suite
 
+        # --autotune is the exhaustive search: one exact rung over the
+        # classic three-axis space.  --halving prunes the widened space.
+        if args.halving:
+            mode, eta, space = "halving", args.eta, None
+        else:
+            mode, eta, space = "autotune", 1, suite_design_space(suite)
         try:
             result = halving_autotune_suite(
                 suite,
                 objective=args.objective,
-                eta=args.eta,
-                budget=args.budget,
+                eta=eta,
                 jobs=args.jobs,
                 cache=cache,
+                space=space,
                 constraints=args.constraint,
             )
         except (SuiteError, ValueError) as err:
@@ -489,7 +495,7 @@ def cmd_sweep(args) -> int:
             f"{stats.fidelity}:{stats.candidates}" for stats in result.rungs
         )
         print(
-            f"\n{suite.name} [halving/{args.objective} eta={args.eta}]:"
+            f"\n{suite.name} [{mode}/{args.objective} eta={eta}]:"
             f" {aggregates['cases']} cases,"
             f" {aggregates['total_cycles']} cycles"
             f" (fixed design: {aggregates['fixed_total_cycles']}),"
@@ -498,37 +504,6 @@ def cmd_sweep(args) -> int:
             f" rungs {rung_trail},"
             f" {aggregates['evaluations_saved']:.1f}x fewer full-fidelity"
             f" evaluations,"
-            f" {aggregates['elapsed_s']:.3f} s"
-        )
-        print(_cache_line(result.report, cache))
-        return 0
-
-    if args.autotune:
-        from .exec.autotune import autotune_suite
-
-        try:
-            result = autotune_suite(
-                suite,
-                objective=args.objective,
-                budget=args.budget,
-                jobs=args.jobs,
-                cache=cache,
-            )
-        except (SuiteError, ValueError) as err:
-            print(f"sweep: {err}", file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(result.to_dict(), indent=2))
-            return 0
-        print(result.table())
-        aggregates = result.aggregates()
-        print(
-            f"\n{suite.name} [autotune/{args.objective}]:"
-            f" {aggregates['cases']} cases,"
-            f" {aggregates['total_cycles']} cycles"
-            f" (fixed design: {aggregates['fixed_total_cycles']}),"
-            f" {aggregates['retuned_layers']} layers re-tuned,"
-            f" {aggregates['candidates_per_layer']} candidates/layer,"
             f" {aggregates['total_energy_pj']:.0f} pJ,"
             f" {aggregates['elapsed_s']:.3f} s"
         )
@@ -902,8 +877,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--autotune",
         action="store_true",
-        help="cross each layer with the DSE design space and pick the"
-        " Pareto-best design point per layer",
+        help="cross each layer with the classic DSE design space"
+        " (transform x sparsity x balancing) and pick the Pareto-best"
+        " design point per layer by exhaustive search (successive"
+        " halving's single exact rung, eta 1)",
     )
     sweep.add_argument(
         "--halving",
@@ -918,14 +895,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=2,
         help="halving rate: keep the top 1/eta per rung and grow rung"
-        " caps by eta (default 2; 1 disables pruning and matches the"
-        " exhaustive autotuner)",
+        " caps by eta (default 2; 1 disables pruning)",
     )
     sweep.add_argument(
         "--constraint",
         default=None,
         metavar="CLAUSES",
-        help="comma-separated frontier filters for --halving, e.g."
+        help="comma-separated frontier filters for --autotune and"
+        " --halving, e.g."
         " 'area<=2e6,power<=0.5' (metrics: cycles, area, energy,"
         " power); the winner is the best feasible frontier point",
     )
@@ -935,15 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="cycles",
         help="autotuning objective minimized on each layer's Pareto"
         " frontier (default cycles)",
-    )
-    sweep.add_argument(
-        "--budget",
-        type=_positive_int,
-        default=None,
-        help="cap the candidate designs per layer via a deterministic"
-        " stratified sample across the transform axis (the fixed"
-        " baseline design is always kept); with --halving this is a"
-        " deprecated alias for rung-0 sizing",
     )
     sweep.add_argument(
         "--jobs",
@@ -1047,8 +1015,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--only",
         action="append",
         choices=[
-            "dse", "membuf", "dma", "merger", "kernel", "suite",
-            "autotune", "halving",
+            "dse", "membuf", "dma", "merger", "kernel", "suite", "halving",
         ],
         default=None,
         metavar="BENCH",

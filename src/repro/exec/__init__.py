@@ -26,16 +26,17 @@ Persistence and batching layers on top:
   (``python -m repro sweep resnet50``, or any user table via
   ``repro sweep path/to/table.json``), routing every layer through
   :func:`evaluate_sweep` as one candidate list;
-* :mod:`repro.exec.autotune` -- per-layer Pareto autotuning
-  (``repro sweep <suite> --autotune``): every layer crossed with the
-  DSE design space, ranked by Pareto frontier under a configurable
-  objective (cycles / energy / EDP), winners pinned deterministically.
+* :mod:`repro.exec.halving` -- per-layer Pareto autotuning by
+  multi-fidelity successive halving (``repro sweep <suite> --halving``;
+  ``--autotune`` is its exhaustive ``eta=1`` rung over the classic
+  three-axis space): every layer crossed with the DSE design space,
+  ranked by Pareto frontier under a configurable objective (cycles /
+  energy / EDP), winners pinned deterministically.
 
 :mod:`repro.exec.bench` records the wall-clock trajectory of a fixed
 reference sweep into ``BENCH_dse.json`` (``python -m repro bench``).
 """
 
-from .autotune import OBJECTIVES, AutotuneResult, autotune_suite, select_winner
 from .cache import (
     CacheStats,
     CompileCache,
@@ -44,6 +45,12 @@ from .cache import (
 )
 from .engine import EngineReport, ResidentPool, evaluate_sweep, resolve_jobs
 from .fingerprint import FINGERPRINT_VERSION, FingerprintError, fingerprint
+from .halving import (
+    OBJECTIVES,
+    HalvingResult,
+    halving_autotune_suite,
+    select_winner,
+)
 from .store import DiskStore, DiskStoreStats, default_cache_dir
 from .suite import (
     Suite,
@@ -59,7 +66,6 @@ from .suite import (
 )
 
 __all__ = [
-    "AutotuneResult",
     "CacheStats",
     "CompileCache",
     "DiskStore",
@@ -67,13 +73,13 @@ __all__ = [
     "EngineReport",
     "FINGERPRINT_VERSION",
     "FingerprintError",
+    "HalvingResult",
     "OBJECTIVES",
     "ResidentPool",
     "Suite",
     "SuiteCase",
     "SuiteError",
     "SuiteResult",
-    "autotune_suite",
     "build_suite",
     "build_table_suite",
     "default_cache_dir",
@@ -82,6 +88,7 @@ __all__ = [
     "fingerprint",
     "format_rows",
     "get_compile_cache",
+    "halving_autotune_suite",
     "load_workload_table",
     "persistent_compile_cache",
     "resolve_jobs",

@@ -19,10 +19,6 @@ The benchmark families, each recording an entry in ``BENCH_dse.json``'s
   subprocesses sharing one :class:`~repro.exec.store.DiskStore` root:
   the measured value is what the persistent tier buys a repeat
   invocation, and the gate also requires byte-identical rows;
-* **autotune_resnet50** -- fixed-design sweep vs warm-cache per-layer
-  autotuning; the speedup is the deterministic aggregate-cycle ratio,
-  gated at >= 1.0 (the fixed design is always a candidate, so losing to
-  it is a selection bug) plus run-to-run identical winner rows;
 * **autotune_halving** -- successive-halving vs exhaustive (``eta=1``)
   autotuning over the *widened* design space on three suites; the
   speedup is the worst-suite full-fidelity evaluations-saved ratio,
@@ -368,61 +364,6 @@ def run_kernel_bench(
 
 
 # ---------------------------------------------------------------------------
-# Autotune bench (what per-layer design selection buys over the fixed array)
-# ---------------------------------------------------------------------------
-
-#: Operand seed for the autotune bench -- the suite default, so the gate
-#: compares the same workload the acceptance sweep runs.
-DEFAULT_AUTOTUNE_SEED = 7
-
-
-def run_autotune_bench(
-    suite: str = "resnet50", cap: int = 8, seed: int = DEFAULT_AUTOTUNE_SEED
-) -> Dict[str, object]:
-    """Fixed-design sweep vs warm-cache autotune on aggregate cycles.
-
-    The recorded speedup is ``fixed_total_cycles / autotuned_total_cycles``
-    -- a deterministic model-cycle ratio, not wall clock -- and the gate
-    requires it to be at least 1.0: the fixed baseline design is always
-    on every layer's candidate list, so autotuning that loses to it is a
-    selection bug.  Determinism is checked by autotuning twice against
-    the same warm cache and requiring identical winner rows.
-    """
-    from .autotune import autotune_suite
-    from .suite import build_suite, evaluate_suite
-
-    cache = CompileCache()
-    fixed = evaluate_suite(build_suite(suite, cap=cap, seed=seed), jobs=1, cache=cache)
-    first = autotune_suite(
-        build_suite(suite, cap=cap, seed=seed), objective="cycles",
-        jobs=1, cache=cache,
-    )
-    again = autotune_suite(
-        build_suite(suite, cap=cap, seed=seed), objective="cycles",
-        jobs=1, cache=cache,
-    )
-
-    identical = first.rows == again.rows
-    fixed_cycles = fixed.total_cycles
-    tuned_cycles = first.total_cycles
-    return {
-        "sweep": f"autotune_{suite}",
-        "suite": suite,
-        "cap": cap,
-        "seed": seed,
-        "cases": len(first.decisions),
-        "candidates_per_layer": len(first.combos),
-        "fixed_cycles": int(fixed_cycles),
-        "autotuned_cycles": int(tuned_cycles),
-        "retuned_layers": first.retuned_layers,
-        "speedup": round(fixed_cycles / max(tuned_cycles, 1), 4),
-        "results_identical": identical,
-        "beats_fixed": tuned_cycles <= fixed_cycles,
-        "cache": cache.stats.as_dict(),
-    }
-
-
-# ---------------------------------------------------------------------------
 # Halving bench (multi-fidelity pruning vs exhaustive full-fidelity search)
 # ---------------------------------------------------------------------------
 
@@ -435,6 +376,10 @@ HALVING_MIN_SPEEDUP = 3.0
 #: Suites the halving gate runs on -- the dense CNN pair plus the
 #: sparse SuiteSparse sweep, the three acceptance workloads.
 HALVING_SUITES = ("resnet50", "alexnet", "suitesparse")
+
+#: Operand seed for the halving bench -- the suite default, so the gate
+#: compares the same workload the acceptance sweep runs.
+DEFAULT_AUTOTUNE_SEED = 7
 
 
 def run_halving_bench(
@@ -735,8 +680,7 @@ def main(argv=None) -> int:
         "--only",
         action="append",
         choices=[
-            "dse", "membuf", "dma", "merger", "kernel", "suite",
-            "autotune", "halving",
+            "dse", "membuf", "dma", "merger", "kernel", "suite", "halving",
         ],
         default=None,
         metavar="BENCH",
@@ -746,10 +690,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     selected = set(
         args.only
-        or [
-            "dse", "membuf", "dma", "merger", "kernel", "suite",
-            "autotune", "halving",
-        ]
+        or ["dse", "membuf", "dma", "merger", "kernel", "suite", "halving"]
     )
 
     baseline = load_baseline(args.output)
@@ -784,8 +725,6 @@ def main(argv=None) -> int:
         reports.append(run_kernel_bench(seed=args.seed))
     if "suite" in selected:
         reports.append(run_suite_bench(seed=args.seed))
-    if "autotune" in selected:
-        reports.append(run_autotune_bench())
     if "halving" in selected:
         reports.append(run_halving_bench())
 

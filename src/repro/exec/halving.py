@@ -1,12 +1,13 @@
-"""Multi-fidelity successive-halving autotuning of workload suites.
+"""Per-layer autotuning of workload suites by multi-fidelity successive halving.
 
-:func:`~repro.exec.autotune.autotune_suite` (PR 5) evaluates every
-candidate combo of every layer at full simulation fidelity; its
-``--budget`` knob merely truncated the combo list.  That scales badly
-once :class:`~repro.dse.space.DesignSpace` owns the microarchitecture
-axes (membuf geometry, DMA depth, regfile variant) on top of transform x
-sparsity x balancing.  :func:`halving_autotune_suite` replaces
-truncation with the successive-halving schedule:
+Stellar's core claim is that one functional spec plus an automated
+explorer finds per-workload design points rather than fixing a single
+array.  The plain suite sweep (:mod:`repro.exec.suite`) evaluates every
+layer on one hand-picked design; :func:`halving_autotune_suite` crosses
+every layer with the candidate combos of a
+:class:`~repro.dse.space.DesignSpace` (transform x sparsity x balancing,
+plus the membuf / DMA / regfile overlay axes of the widened space) and
+prunes them with the successive-halving schedule:
 
 * **Rung 0** evaluates *all* combos of every layer at a cheap fidelity:
   each case's bounds are clipped to a small ``cap`` and its operand
@@ -19,22 +20,34 @@ truncation with the successive-halving schedule:
   rung objective (cycles, then area, then name -- deterministic).  Three
   classes of combo survive unconditionally: the suite's **fixed
   baseline** (so the final winner provably never loses to the fixed
-  sweep -- the PR 5 guarantee), the **previous layer's rung leader**
-  (neighboring layers share shapes, so its winner warm-starts this
-  layer's ranking), and combos that were **illegal at reduced fidelity**
-  (clipping can break a balancing scheme that is legal at full bounds;
-  they are carried forward rather than falsely pruned).
-* The **final rung** is byte-identical to today's exact evaluation:
-  full bounds, full tensors, energy + digest on, no fidelity tag -- so
-  it shares cache entries with the plain autotuner and the fixed sweep,
-  and cold/warm runs stay byte-identical.
+  sweep), the **previous layer's rung leader** (neighboring layers
+  share shapes, so its winner warm-starts this layer's ranking), and
+  combos that were **illegal at reduced fidelity** (clipping can break
+  a balancing scheme that is legal at full bounds; they are carried
+  forward rather than falsely pruned).
+* The **final rung** is the exact evaluation: full bounds, full
+  tensors, energy + digest on, no fidelity tag -- so it shares cache
+  entries with the fixed sweep, and cold/warm runs stay byte-identical.
+
+``eta=1`` degenerates to that single exact rung over every combo: the
+exhaustive search ``repro sweep <suite> --autotune`` runs over the
+classic three-axis space (:func:`~repro.dse.space.suite_design_space`).
 
 Every rung routes through one
 :func:`~repro.exec.engine.evaluate_sweep` call, so the ResidentPool,
-DiskStore, and compile-cache sharing all apply per rung.  The final winner is picked off the full Pareto frontier,
-optionally filtered by declarative suite-level constraints
+DiskStore, and compile-cache sharing all apply per rung.  Per layer, the
+final rung's points are ranked by the Pareto frontier over (cycles,
+area, energy) and the winner is the frontier point minimizing the
+configured objective -- ``cycles``, ``energy``, or ``edp`` -- with
+deterministic (objective, cycles, area, name) tie-breaks, so parallel,
+serial, cold, and warm runs pick identical designs.  The frontier may be
+filtered first by declarative suite-level constraints
 (``area<=N,power<=N`` -- TeAAL-style), and the result surfaces the full
 per-layer frontier plus per-rung evaluation counts.
+
+Each layer's *fixed* baseline combo is evaluated with
+``skip_illegal: False`` (its failure is a configuration bug, not a
+design-space point to prune).
 """
 
 from __future__ import annotations
@@ -56,24 +69,20 @@ from typing import (
 import numpy as np
 
 from ..core.expr import Bounds
-from ..dse.explorer import DesignPoint
-from ..dse.space import (
-    DesignCombo,
-    DesignSpace,
-    budgeted_combos,
-    suite_design_space,
-)
+from ..dse.explorer import DesignPoint, ExplorationResult
+from ..dse.space import DesignCombo, DesignSpace, suite_design_space
 from ..obs.trace import get_tracer
-from .autotune import (
-    OBJECTIVES,
-    AutotuneResult,
-    LayerDecision,
-    _layer_points,
-    select_winner,
-)
 from .cache import CompileCache
-from .engine import evaluate_sweep
+from .engine import EngineReport, evaluate_sweep
 from .suite import Suite, SuiteError
+
+#: Supported autotuning objectives, each mapping a point to the scalar
+#: being minimized.
+OBJECTIVES: Dict[str, Callable[[DesignPoint], float]] = {
+    "cycles": lambda p: float(p.cycles),
+    "energy": lambda p: float(p.energy_pj),
+    "edp": lambda p: float(p.edp),
+}
 
 #: The smallest rung cap.  Tiles below this stop being representative of
 #: the full-bounds ranking (a 1x1x1 matmul has no dataflow).
@@ -147,8 +156,8 @@ def fidelity_ladder(full_cap: int, eta: int) -> List[Optional[int]]:
 
     Caps grow by ``eta`` from :data:`MIN_RUNG_CAP` while strictly below
     ``full_cap``; ``eta=1`` (no pruning) degenerates to the single exact
-    rung, making halving identical to the exhaustive autotuner -- the
-    differential test's anchor.
+    rung, the exhaustive search that ``--autotune`` runs and that
+    STL-FZ-006 checks against a brute-force winner search.
     """
     if eta < 1:
         raise ValueError(f"eta must be at least 1, got {eta}")
@@ -226,18 +235,123 @@ class RungStats:
         }
 
 
-class HalvingLayerDecision(LayerDecision):
-    """A layer's winner plus its full serialized Pareto frontier."""
+def select_winner(
+    points: Sequence[DesignPoint], objective: str
+) -> Tuple[DesignPoint, List[DesignPoint]]:
+    """``(winner, frontier)`` for one layer's evaluated points.
 
-    def __init__(self, *args, frontier_points=None, feasible=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.frontier_points = list(frontier_points or [])
-        self.feasible = feasible if feasible is not None else len(
-            self.frontier_points
+    The frontier is the Pareto-nondominated subset over every measured
+    metric (cycles, area, and energy when present); the winner is the
+    frontier point minimizing ``objective`` with deterministic
+    tie-breaks, so identical point sets always yield identical winners
+    regardless of evaluation order.
+    """
+    if objective not in OBJECTIVES:
+        raise ValueError(
+            f"unknown objective {objective!r}; pick from {sorted(OBJECTIVES)}"
         )
+    if not points:
+        raise ValueError("cannot select a winner from zero points")
+    measure = OBJECTIVES[objective]
+    frontier = ExplorationResult(list(points)).pareto_frontier()
+    winner = min(
+        frontier, key=lambda p: (measure(p), p.cycles, p.area_um2, p.name)
+    )
+    return winner, frontier
+
+
+def _layer_points(
+    combos: Sequence[DesignCombo], outcomes: Sequence[Mapping[str, object]]
+) -> List[Tuple[DesignCombo, DesignPoint, Mapping[str, object]]]:
+    points = []
+    for combo, outcome in zip(combos, outcomes):
+        if outcome["status"] != "ok":
+            continue
+        points.append(
+            (
+                combo,
+                DesignPoint(
+                    name=combo.label,
+                    transform_name=combo.transform_name,
+                    sparsity_name=combo.sparsity_name,
+                    balancing_name=combo.balancing_name,
+                    cycles=int(outcome["cycles"]),
+                    utilization=float(outcome["utilization"]),
+                    area_um2=float(outcome["area_um2"]),
+                    pe_count=int(outcome["pe_count"]),
+                    conn_count=int(outcome["conn_count"]),
+                    pruned_variables=outcome["pruned_variables"],
+                    energy_pj=float(outcome["energy_pj"]),
+                ),
+                outcome,
+            )
+        )
+    return points
+
+
+class HalvingLayerDecision:
+    """One layer's autotuning outcome: the winning design, its fixed
+    baseline, and the layer's full serialized Pareto frontier."""
+
+    def __init__(
+        self,
+        case,
+        combo: DesignCombo,
+        outcome: Mapping[str, object],
+        fixed_outcome: Mapping[str, object],
+        frontier_size: int,
+        evaluated: int,
+        illegal: int,
+        frontier_points: Sequence[Dict[str, object]],
+        feasible: int,
+    ):
+        self.case = case
+        self.combo = combo
+        self.outcome = dict(outcome)
+        self.fixed_outcome = dict(fixed_outcome)
+        self.frontier_size = frontier_size
+        self.evaluated = evaluated
+        self.illegal = illegal
+        self.frontier_points = list(frontier_points)
+        self.feasible = feasible
+
+    @property
+    def cycles(self) -> int:
+        return int(self.outcome["cycles"])
+
+    @property
+    def energy_pj(self) -> float:
+        return float(self.outcome["energy_pj"])
+
+    @property
+    def edp(self) -> float:
+        return self.cycles * self.energy_pj
+
+    @property
+    def fixed_cycles(self) -> int:
+        return int(self.fixed_outcome["cycles"])
 
     def row(self) -> Dict[str, object]:
-        row = super().row()
+        row: Dict[str, object] = {
+            "name": self.case.name,
+            "transform": self.combo.transform_name,
+            "sparsity": self.combo.sparsity_name,
+            "balancing": self.combo.balancing_name,
+            "cycles": self.cycles,
+            "fixed_cycles": self.fixed_cycles,
+            "utilization": float(self.outcome["utilization"]),
+            "area_um2": float(self.outcome["area_um2"]),
+            "energy_pj": round(self.energy_pj, 3),
+            "edp": round(self.edp, 3),
+            "output_digest": self.outcome["output_digest"],
+            "frontier": self.frontier_size,
+            "evaluated": self.evaluated,
+            "illegal": self.illegal,
+        }
+        row.update(self.case.info)
+        row["bounds_str"] = "x".join(
+            str(self.case.bounds.size(name)) for name in ("i", "j", "k")
+        )
         membuf, dma, regfile = self.combo.uarch_names
         row["membuf"] = membuf
         row["dma"] = dma
@@ -246,25 +360,68 @@ class HalvingLayerDecision(LayerDecision):
         return row
 
 
-class HalvingResult(AutotuneResult):
-    """An :class:`~repro.exec.autotune.AutotuneResult` plus the halving
-    schedule: rung tallies, the fidelity ladder, constraint clauses, and
-    each layer's full Pareto frontier."""
+class HalvingResult:
+    """Per-layer winner table plus suite aggregates, the engine report,
+    and the halving schedule: rung tallies, the fidelity ladder,
+    constraint clauses, and each layer's full Pareto frontier."""
 
     def __init__(
         self,
-        *args,
+        suite: Suite,
+        objective: str,
+        decisions: List[HalvingLayerDecision],
+        space: DesignSpace,
+        combos: List[DesignCombo],
+        report: EngineReport,
+        elapsed_s: float,
+        cache: Optional[CompileCache],
         eta: int,
         ladder: Sequence[Optional[int]],
         rungs: Sequence[RungStats],
         constraints: Sequence[Constraint],
-        **kwargs,
     ):
-        super().__init__(*args, **kwargs)
+        self.suite = suite
+        self.objective = objective
+        self.decisions = decisions
+        self.space = space
+        self.combos = combos
+        self.report = report
+        self.elapsed_s = elapsed_s
+        self.cache = cache
         self.eta = eta
         self.ladder = list(ladder)
         self.rungs = list(rungs)
         self.constraints = list(constraints)
+
+    # -- aggregates ------------------------------------------------------
+
+    @property
+    def rows(self) -> List[Dict[str, object]]:
+        return [decision.row() for decision in self.decisions]
+
+    @property
+    def total_cycles(self) -> int:
+        return sum(d.cycles for d in self.decisions)
+
+    @property
+    def fixed_total_cycles(self) -> int:
+        return sum(d.fixed_cycles for d in self.decisions)
+
+    @property
+    def total_energy_pj(self) -> float:
+        return sum(d.energy_pj for d in self.decisions)
+
+    @property
+    def total_edp(self) -> float:
+        return sum(d.edp for d in self.decisions)
+
+    @property
+    def mean_utilization(self) -> float:
+        if not self.decisions:
+            return 0.0
+        return sum(
+            float(d.outcome["utilization"]) for d in self.decisions
+        ) / len(self.decisions)
 
     @property
     def retuned_layers(self) -> int:
@@ -297,17 +454,38 @@ class HalvingResult(AutotuneResult):
         )
 
     def aggregates(self) -> Dict[str, object]:
-        figures = super().aggregates()
-        figures["eta"] = self.eta
-        figures["rungs"] = len(self.rungs)
-        figures["full_fidelity_evaluations"] = self.full_fidelity_evaluations
-        figures["exhaustive_evaluations"] = self.exhaustive_evaluations
-        figures["evaluations_saved"] = round(self.evaluations_saved, 4)
-        return figures
+        return {
+            "cases": len(self.decisions),
+            "objective": self.objective,
+            "candidates_per_layer": len(self.combos),
+            "total_cycles": self.total_cycles,
+            "fixed_total_cycles": self.fixed_total_cycles,
+            "retuned_layers": self.retuned_layers,
+            "mean_utilization": round(self.mean_utilization, 4),
+            "total_energy_pj": round(self.total_energy_pj, 3),
+            "total_edp": round(self.total_edp, 3),
+            "elapsed_s": round(self.elapsed_s, 4),
+            "eta": self.eta,
+            "rungs": len(self.rungs),
+            "full_fidelity_evaluations": self.full_fidelity_evaluations,
+            "exhaustive_evaluations": self.exhaustive_evaluations,
+            "evaluations_saved": round(self.evaluations_saved, 4),
+        }
+
+    # -- presentation ----------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        payload = super().to_dict()
-        payload["mode"] = "halving"
+        payload = {
+            "suite": self.suite.name,
+            "mode": "halving",
+            "objective": self.objective,
+            "space": self.space.axes(),
+            "rows": self.rows,
+            "aggregates": self.aggregates(),
+            "engine": self.report.as_dict(),
+        }
+        if self.cache is not None and self.cache.store is not None:
+            payload["store"] = self.cache.store.stats.as_dict()
         payload["eta"] = self.eta
         payload["ladder"] = [
             cap if cap is not None else "full" for cap in self.ladder
@@ -321,6 +499,39 @@ class HalvingResult(AutotuneResult):
             for decision in self.decisions
         }
         return payload
+
+    def table(self) -> str:
+        headers = (
+            "case", "design", "cycles", "fixed", "util", "energy/pJ", "digest"
+        )
+        body = []
+        for decision in self.decisions:
+            row = decision.row()
+            body.append(
+                (
+                    str(row["name"]),
+                    f"{row['transform']} / {row['sparsity']} / {row['balancing']}",
+                    str(row["cycles"]),
+                    str(row["fixed_cycles"]),
+                    f"{float(row['utilization']):.3f}",
+                    f"{float(row['energy_pj']):.1f}",
+                    str(row["output_digest"])[:12],
+                )
+            )
+        widths = [
+            max(len(headers[col]), *(len(line[col]) for line in body)) if body
+            else len(headers[col])
+            for col in range(len(headers))
+        ]
+        lines = [
+            "  ".join(header.ljust(width) for header, width in zip(headers, widths)),
+            "  ".join("-" * width for width in widths),
+        ]
+        for line in body:
+            lines.append(
+                "  ".join(cell.ljust(width) for cell, width in zip(line, widths))
+            )
+        return "\n".join(lines)
 
 
 def _frontier_payload(
@@ -355,7 +566,6 @@ def halving_autotune_suite(
     suite: Suite,
     objective: str = "cycles",
     eta: int = 2,
-    budget: Optional[int] = None,
     jobs: Optional[int] = None,
     cache: Optional[CompileCache] = None,
     space: Optional[DesignSpace] = None,
@@ -367,13 +577,12 @@ def halving_autotune_suite(
 
     ``space`` defaults to the *widened* suite space
     (:func:`~repro.dse.space.suite_design_space` with ``wide=True``);
-    ``budget`` is the deprecated rung-0 sizing alias (a stratified
-    sample across the transform axis, baseline always kept); ``eta`` is
-    both the per-rung keep fraction (top ``1/eta``) and the cap growth
-    factor; ``constraints`` filters the final frontier
-    (:func:`parse_constraints` grammar) -- note a binding constraint can
-    force a winner off the objective optimum, in which case the
-    never-worse-than-fixed guarantee is deliberately traded away.
+    ``eta`` is both the per-rung keep fraction (top ``1/eta``) and the
+    cap growth factor (``eta=1`` is the exhaustive single exact rung);
+    ``constraints`` filters the final frontier (:func:`parse_constraints`
+    grammar) -- note a binding constraint can force a winner off the
+    objective optimum, in which case the never-worse-than-fixed
+    guarantee is deliberately traded away.
     ``on_rung`` observes rung start/finish events (the serve daemon
     forwards them to clients as ``trace`` messages).
     """
@@ -388,7 +597,7 @@ def halving_autotune_suite(
     baseline_names = (
         suite.transform_name, suite.sparsity_name, suite.balancing_name
     )
-    combos = budgeted_combos(space.combos(), budget, require=baseline_names)
+    combos = space.combos()
     baseline_combo = next(
         (
             combo
@@ -619,7 +828,6 @@ def halving_autotune_suite(
         decisions,
         space,
         combos,
-        budget,
         report,
         elapsed,
         cache,

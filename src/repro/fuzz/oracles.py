@@ -21,7 +21,8 @@ oracle                            paths compared
 ``rtl.opt0_vs_opt2``             unoptimized vs fully optimized netlist,
                                  proven via :func:`check_equivalence`
 ``exec.halving_eta1_vs_exhaustive``  single-exact-rung successive halving
-                                 vs the exhaustive autotuner, same space
+                                 vs a brute-force winner search
+                                 (:func:`brute_force_winners`), same space
 ===============================  ==========================================
 
 Oracles return ``None`` on agreement or a human-readable mismatch
@@ -46,12 +47,11 @@ from ..analysis.equiv import check_equivalence
 from ..core.compiler import compile_design
 from ..core.expr import SpecError
 from ..dse.space import suite_design_space
-from ..exec.autotune import autotune_suite
 from ..exec.cache import CompileCache
 from ..exec.engine import ResidentPool, evaluate_point, evaluate_sweep
 from ..exec.halving import halving_autotune_suite
 from ..exec.store import DiskStore
-from ..exec.suite import build_table_suite
+from ..exec.suite import SuiteError, build_table_suite
 from ..rtl.lowering import lower_design
 from ..sim.kernel import KernelFallback, compile_kernel
 from ..sim.spatial_array import differential_run
@@ -335,6 +335,71 @@ def _oracle_rtl_opt0_vs_opt2(case: FuzzCase, _ctx: OracleContext):
     return None
 
 
+def brute_force_winners(suite, space, objective: str = "cycles"):
+    """Each layer's ``(winner row, fixed-design cycles)`` by brute force.
+
+    The reference side of STL-FZ-006.  It shares no selection code with
+    the autotuner (no ``select_winner``, ``_layer_points`` or
+    ``pareto_frontier``), so agreement checks the selection policy: one
+    :func:`evaluate_sweep` over every (layer x combo), pairwise Pareto
+    dominance over each layer's ``ok`` outcomes on (cycles, area,
+    energy), then the minimum on (objective, cycles, area, name).  A row
+    is ``(name, transform, sparsity, balancing, cycles, output_digest)``.
+    """
+    baseline = (suite.transform_name, suite.sparsity_name, suite.balancing_name)
+    combos = space.combos()
+
+    def is_baseline(combo):
+        return combo.names == baseline and combo.is_default_uarch
+
+    candidates = [
+        combo.candidate(
+            name=f"{case.name} @ {combo.label}", bounds=case.bounds,
+            tensors_key=case.name, want_energy=True, want_digest=True,
+            skip_illegal=not is_baseline(combo),
+        )
+        for case in suite.cases
+        for combo in combos
+    ]
+    outcomes, _report = evaluate_sweep(
+        suite.spec, None, None, candidates, element_bits=suite.element_bits,
+        skip_illegal=True, jobs=1, cache=CompileCache(),
+        tensor_table=suite.tensor_table(),
+    )
+    measure = {
+        "cycles": lambda o: float(o["cycles"]),
+        "energy": lambda o: float(o["energy_pj"]),
+        "edp": lambda o: float(o["energy_pj"]) * int(o["cycles"]),
+    }[objective]
+
+    def metrics(o):
+        return (int(o["cycles"]), float(o["area_um2"]), float(o["energy_pj"]))
+
+    def dominates(a, b):
+        return a != b and all(x <= y for x, y in zip(a, b))
+
+    winners = []
+    for index, case in enumerate(suite.cases):
+        chunk = outcomes[index * len(combos):(index + 1) * len(combos)]
+        ok = [(c, o) for c, o in zip(combos, chunk) if o["status"] == "ok"]
+        if not ok:
+            raise SuiteError(f"no legal design point for layer {case.name!r}")
+        frontier = [
+            (c, o) for c, o in ok
+            if not any(dominates(metrics(p), metrics(o)) for _, p in ok)
+        ]
+        combo, best = min(frontier, key=lambda pair: (
+            measure(pair[1]), int(pair[1]["cycles"]),
+            float(pair[1]["area_um2"]), pair[0].label,
+        ))
+        fixed = next(int(o["cycles"]) for c, o in ok if is_baseline(c))
+        row = (case.name,) + combo.names + (
+            int(best["cycles"]), best["output_digest"],
+        )
+        winners.append((row, fixed))
+    return winners
+
+
 def _oracle_halving_vs_exhaustive(case: FuzzCase, _ctx: OracleContext):
     layer = {
         "name": f"fuzz-{case.index}",
@@ -346,39 +411,29 @@ def _oracle_halving_vs_exhaustive(case: FuzzCase, _ctx: OracleContext):
     }
     seed = case.tensor_seed % 100000
     suite = build_table_suite([layer], cap=4, seed=seed, source="fuzz")
-    # CRITICAL: the two autotuners default to *different* spaces (halving
-    # widens); the differential is only meaningful over one shared space.
+    # CRITICAL: the halving autotuner defaults to the *widened* space;
+    # the differential is only meaningful over one shared space.
     space = suite_design_space(suite)
-    exhaustive = autotune_suite(
-        build_table_suite([layer], cap=4, seed=seed, source="fuzz"),
-        space=space, cache=CompileCache(), jobs=1,
-    )
+    reference = brute_force_winners(suite, space)
     halved = halving_autotune_suite(
-        build_table_suite([layer], cap=4, seed=seed, source="fuzz"),
-        eta=1, space=space, cache=CompileCache(), jobs=1,
+        suite, eta=1, space=space, cache=CompileCache(), jobs=1
     )
-
-    def winners(result):
-        return [
-            (r["name"], r["transform"], r["sparsity"], r["balancing"],
-             r["cycles"], r["output_digest"])
-            for r in result.rows
-        ]
-
-    if winners(halved) != winners(exhaustive):
+    winners = [
+        (r["name"], r["transform"], r["sparsity"], r["balancing"],
+         r["cycles"], r["output_digest"])
+        for r in halved.rows
+    ]
+    expected = [row for row, _fixed in reference]
+    if winners != expected:
         return (
-            f"winner rows differ: halving(eta=1) {winners(halved)}"
-            f" vs exhaustive {winners(exhaustive)}"
+            f"winner rows differ: halving(eta=1) {winners}"
+            f" vs brute force {expected}"
         )
-    if halved.total_cycles != exhaustive.total_cycles:
-        return (
-            f"total cycles differ: halving(eta=1) {halved.total_cycles}"
-            f" vs exhaustive {exhaustive.total_cycles}"
-        )
-    if halved.fixed_total_cycles != exhaustive.fixed_total_cycles:
+    fixed = sum(fixed for _row, fixed in reference)
+    if halved.fixed_total_cycles != fixed:
         return (
             f"fixed total cycles differ: {halved.fixed_total_cycles}"
-            f" vs {exhaustive.fixed_total_cycles}"
+            f" vs {fixed}"
         )
     return None
 
@@ -450,6 +505,7 @@ __all__ = [
     "ORACLES",
     "OracleContext",
     "OracleVerdict",
+    "brute_force_winners",
     "oracle_names",
     "run_oracle",
 ]

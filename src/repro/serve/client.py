@@ -160,7 +160,6 @@ class ServeClient:
         seed: Optional[int] = None,
         autotune: bool = False,
         objective: str = "cycles",
-        budget: Optional[int] = None,
         halving: bool = False,
         eta: int = 2,
         constraint: Optional[str] = None,
@@ -178,13 +177,11 @@ class ServeClient:
             payload["seed"] = seed
         if autotune or halving:
             payload["objective"] = objective
-            if budget is not None:
-                payload["budget"] = budget
+            if constraint is not None:
+                payload["constraint"] = constraint
         if halving:
             payload["halving"] = True
             payload["eta"] = eta
-            if constraint is not None:
-                payload["constraint"] = constraint
         elif autotune:
             payload["autotune"] = True
         return self._collect(payload, on_row=on_row, on_trace=on_trace)

@@ -28,10 +28,11 @@ from ..exec.fingerprint import fingerprint
 #: Protocol revision, echoed in ``pong`` replies.  Bump on any change
 #: that an old client would misread.  Version 2 added the successive-
 #: halving sweep fields (``halving``/``eta``/``constraint``) and the
-#: non-terminal ``trace`` message streaming rung progress; only clients
-#: that opt into halving ever receive traces, so version-1 clients are
-#: unaffected.
-PROTOCOL_VERSION = 2
+#: non-terminal ``trace`` message streaming rung progress.  Version 3
+#: answers ``autotune`` sweeps with the halving payload (one exact
+#: ``full`` rung, ``eta`` 1, rung traces) and rejects the retired
+#: ``budget`` field as ``unknown-field``.
+PROTOCOL_VERSION = 3
 
 #: Request types the server accepts.
 REQUEST_TYPES = ("sweep", "explore", "metrics", "ping", "shutdown")
@@ -130,7 +131,7 @@ def _validate_sweep(request: Dict[str, object]) -> Dict[str, object]:
         request,
         (
             "suite", "table", "cap", "seed", "autotune", "objective",
-            "budget", "halving", "eta", "constraint",
+            "halving", "eta", "constraint",
         ),
         "sweep",
     )
@@ -192,7 +193,6 @@ def _validate_sweep(request: Dict[str, object]) -> Dict[str, object]:
         "eta": _int_field(request, "eta", 2, 1),
         "constraint": constraint,
         "objective": objective,
-        "budget": _int_field(request, "budget", None, 1),
     }
 
 
@@ -255,7 +255,7 @@ def request_key(request: Dict[str, object]) -> str:
             request[name]
             for name in (
                 "suite", "table", "cap", "seed", "autotune", "objective",
-                "budget", "halving", "eta", "constraint",
+                "halving", "eta", "constraint",
             )
         )
     elif rtype == "explore":

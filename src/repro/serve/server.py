@@ -469,35 +469,26 @@ class EvalServer:
         self, request, emit_row, emit_trace
     ) -> Dict[str, object]:
         suite = self._build_suite(request)
-        if request.get("halving"):
+        if request.get("halving") or request["autotune"]:
+            from ..dse.space import suite_design_space
             from ..exec.halving import halving_autotune_suite
 
+            # autotune: the exhaustive single exact rung over the
+            # classic three-axis space; halving prunes the widened one.
+            if request.get("halving"):
+                eta, space = request["eta"], None
+            else:
+                eta, space = 1, suite_design_space(suite)
             result = halving_autotune_suite(
                 suite,
                 objective=request["objective"],
-                eta=request["eta"],
-                budget=request["budget"],
+                eta=eta,
                 jobs=self.jobs,
                 cache=self.cache,
+                space=space,
                 pool=self.pool,
                 constraints=request["constraint"],
                 on_rung=emit_trace,
-            )
-            payload = result.to_dict()
-            rows = payload.pop("rows")
-            for index, row in enumerate(rows):
-                emit_row(index, row)
-            return payload
-        if request["autotune"]:
-            from ..exec.autotune import autotune_suite
-
-            result = autotune_suite(
-                suite,
-                objective=request["objective"],
-                budget=request["budget"],
-                jobs=self.jobs,
-                cache=self.cache,
-                pool=self.pool,
             )
             payload = result.to_dict()
             rows = payload.pop("rows")

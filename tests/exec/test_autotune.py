@@ -1,28 +1,34 @@
-"""Tests for repro.exec.autotune: per-layer Pareto autotuning.
+"""Tests for ``repro sweep --autotune``: exhaustive per-layer autotuning.
 
-The golden-pin classes freeze the exact winner (transform, sparsity,
-balancing, cycles, output digest) autotuning picks for every layer of
-the small resnet50 and alexnet tiles.  Any change to candidate
+``--autotune`` is one call: :func:`repro.exec.halving.halving_autotune_suite`
+with ``eta=1`` (a single exact rung) over the classic three-axis
+:func:`~repro.dse.space.suite_design_space`.  The golden-pin classes
+freeze the exact winner (transform, sparsity, balancing, cycles, output
+digest) it picks for every layer of the small resnet50 and alexnet
+tiles.  Any change to candidate
 enumeration order, Pareto ranking, tie-breaking, workload generation or
 the simulator's cycle model shows up here as a pin diff -- which is the
 point: re-pin deliberately, never accidentally.
 """
 
+import json
+
 import pytest
 
+from repro.cli import main as cli_main
 from repro.dse.space import (
     DesignSpace,
     budgeted_combos,
     standard_transforms,
     suite_design_space,
 )
-from repro.exec.autotune import (
+from repro.exec.cache import CompileCache
+from repro.exec.halving import (
     OBJECTIVES,
-    AutotuneResult,
-    autotune_suite,
+    HalvingResult,
+    halving_autotune_suite,
     select_winner,
 )
-from repro.exec.cache import CompileCache
 from repro.exec.suite import SuiteError, build_suite, evaluate_suite
 
 # (layer, transform, sparsity, balancing, cycles, output_digest) per
@@ -81,8 +87,12 @@ ALEXNET_CAP4_PINS = [
 
 
 def _autotune(suite_name, **kwargs):
-    return autotune_suite(
-        build_suite(suite_name, cap=4, seed=7),
+    """What ``repro sweep <suite> --autotune --cap 4`` runs."""
+    suite = build_suite(suite_name, cap=4, seed=7)
+    return halving_autotune_suite(
+        suite,
+        eta=1,
+        space=suite_design_space(suite),
         cache=CompileCache(),
         jobs=1,
         **kwargs,
@@ -110,6 +120,34 @@ class TestGoldenPins:
         assert result.total_cycles == 35
         assert result.fixed_total_cycles == 41
 
+    def test_cli_autotune_reproduces_pins(self, capsys):
+        status = cli_main(
+            [
+                "sweep", "alexnet", "--autotune", "--cap", "4", "--jobs", "1",
+                "--json", "--no-disk-cache",
+            ]
+        )
+        assert status == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [
+            (r["name"], r["transform"], r["sparsity"], r["balancing"],
+             r["cycles"], r["output_digest"])
+            for r in payload["rows"]
+        ] == ALEXNET_CAP4_PINS
+        assert payload["mode"] == "halving"
+        assert payload["eta"] == 1
+        assert [r["fidelity"] for r in payload["rungs"]] == ["full"]
+
+    def test_cli_autotune_applies_constraint(self, capsys):
+        status = cli_main(
+            [
+                "sweep", "alexnet", "--autotune", "--cap", "4", "--jobs", "1",
+                "--constraint", "area<=1", "--no-disk-cache",
+            ]
+        )
+        assert status == 2
+        assert "constraint" in capsys.readouterr().err
+
     def test_pins_are_rerun_stable(self):
         """Two in-process runs of the same autotune agree row for row."""
         assert _pin_rows(_autotune("alexnet")) == _pin_rows(_autotune("alexnet"))
@@ -129,19 +167,6 @@ class TestInvariants:
         tuned = _autotune("alexnet")
         assert tuned.fixed_total_cycles == fixed.total_cycles
 
-    def test_budget_keeps_baseline(self):
-        """Even budget=1 must retain the suite's fixed design point."""
-        result = _autotune("alexnet", budget=1)
-        assert result.rows
-        for row in result.rows:
-            assert row["cycles"] == row["fixed_cycles"]
-        assert result.total_cycles == result.fixed_total_cycles
-        assert result.retuned_layers == 0
-
-    def test_budget_caps_candidates(self):
-        result = _autotune("alexnet", budget=3)
-        assert result.aggregates()["candidates_per_layer"] == 3
-
     def test_retuned_layers_counts_changed_winners(self):
         result = _autotune("alexnet")
         changed = sum(
@@ -155,8 +180,8 @@ class TestInvariants:
         assert set(OBJECTIVES) == {"cycles", "energy", "edp"}
 
     def test_energy_and_edp_objectives_run(self):
-        by_energy = _autotune("alexnet", objective="energy", budget=4)
-        by_edp = _autotune("alexnet", objective="edp", budget=4)
+        by_energy = _autotune("alexnet", objective="energy")
+        by_edp = _autotune("alexnet", objective="edp")
         assert by_energy.total_energy_pj > 0
         assert by_edp.total_edp > 0
 
@@ -165,14 +190,17 @@ class TestInvariants:
             _autotune("alexnet", objective="latency")
 
     def test_result_serializes(self):
-        result = _autotune("alexnet", budget=2)
+        result = _autotune("alexnet")
         payload = result.to_dict()
-        assert payload["mode"] == "autotune"
+        assert payload["mode"] == "halving"
+        assert payload["eta"] == 1
+        assert [r["fidelity"] for r in payload["rungs"]] == ["full"]
         assert payload["objective"] == "cycles"
-        assert payload["budget"] == 2
         assert len(payload["rows"]) == 5
+        for row in payload["rows"]:
+            assert {"membuf", "dma", "regfile", "feasible"} <= set(row)
         assert payload["aggregates"]["total_cycles"] == result.total_cycles
-        assert isinstance(result, AutotuneResult)
+        assert isinstance(result, HalvingResult)
         assert result.table()
 
     def test_space_must_contain_baseline(self):
@@ -181,8 +209,9 @@ class TestInvariants:
         transforms = standard_transforms()
         transforms.pop("output-stationary")
         with pytest.raises(SuiteError, match="fixed baseline design"):
-            autotune_suite(
+            halving_autotune_suite(
                 build_suite("alexnet", cap=4, seed=7),
+                eta=1,
                 space=DesignSpace(transforms),
                 cache=CompileCache(),
                 jobs=1,

@@ -34,8 +34,9 @@ from repro.core.dataflow import (
 from repro.core.expr import Index, Select, SpecError, Tensor
 from repro.core.functionality import batched_matmul_spec, conv1d_spec
 from repro.core.sparsity import Skip, SparsityStructure, csr_b_matrix
-from repro.exec.autotune import autotune_suite
+from repro.dse.space import suite_design_space
 from repro.exec.cache import CompileCache
+from repro.exec.halving import halving_autotune_suite
 from repro.exec.store import DiskStore
 from repro.exec.suite import build_suite, evaluate_suite
 from repro.sim.kernel import compile_kernel
@@ -283,6 +284,14 @@ class TestKernelVsInterpreter:
             sim.run(tensors)
 
 
+def _autotune(jobs, cache):
+    """What ``repro sweep alexnet --autotune --cap 4 --seed 3`` runs."""
+    suite = build_suite("alexnet", cap=4, seed=3)
+    return halving_autotune_suite(
+        suite, eta=1, space=suite_design_space(suite), jobs=jobs, cache=cache
+    )
+
+
 class TestSerialVsParallel:
     def test_suite_rows_identical_across_jobs(self):
         suite = build_suite("alexnet", cap=4, seed=3)
@@ -294,18 +303,8 @@ class TestSerialVsParallel:
         assert [r["name"] for r in serial.rows] == [c.name for c in suite.cases]
 
     def test_autotune_rows_identical_across_jobs(self):
-        serial = autotune_suite(
-            build_suite("alexnet", cap=4, seed=3),
-            budget=6,
-            jobs=1,
-            cache=CompileCache(),
-        )
-        parallel = autotune_suite(
-            build_suite("alexnet", cap=4, seed=3),
-            budget=6,
-            jobs=2,
-            cache=CompileCache(),
-        )
+        serial = _autotune(jobs=1, cache=CompileCache())
+        parallel = _autotune(jobs=2, cache=CompileCache())
         assert serial.rows == parallel.rows
         digests = [row["output_digest"] for row in serial.rows]
         assert digests == [row["output_digest"] for row in parallel.rows]
@@ -317,21 +316,11 @@ class TestColdVsWarmAutotune:
         root = str(tmp_path / "store")
 
         cold_cache = CompileCache(store=DiskStore(root))
-        cold = autotune_suite(
-            build_suite("alexnet", cap=4, seed=3),
-            budget=8,
-            jobs=1,
-            cache=cold_cache,
-        )
+        cold = _autotune(jobs=1, cache=cold_cache)
         assert cold_cache.store.stats.writes > 0
 
         warm_cache = CompileCache(store=DiskStore(root))
-        warm = autotune_suite(
-            build_suite("alexnet", cap=4, seed=3),
-            budget=8,
-            jobs=1,
-            cache=warm_cache,
-        )
+        warm = _autotune(jobs=1, cache=warm_cache)
         assert warm_cache.stats.disk_hits > 0
 
         assert cold.rows == warm.rows

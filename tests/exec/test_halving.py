@@ -1,8 +1,8 @@
 """Tests for repro.exec.halving: multi-fidelity successive halving.
 
 The differential anchor is ``eta=1``: the ladder degenerates to one
-exact rung, so halving must reproduce the exhaustive autotuner row for
-row.  The pruning runs (``eta>=2``) are then held to the structural
+exact rung, so halving must reproduce a brute-force winner search
+(:func:`repro.fuzz.oracles.brute_force_winners`) row for row.  The pruning runs (``eta>=2``) are then held to the structural
 guarantees -- never worse than the fixed sweep, never worse than the
 exhaustive run over the same space, byte-identical across cold and warm
 disk stores -- rather than to pinned winners, because the winners are
@@ -23,7 +23,6 @@ from repro.dse.uarch import (
     standard_uarch_axes,
     uarch_overlay,
 )
-from repro.exec.autotune import autotune_suite
 from repro.exec.cache import CompileCache, persistent_compile_cache
 from repro.exec.halving import (
     MIN_RUNG_CAP,
@@ -36,6 +35,7 @@ from repro.exec.halving import (
     parse_constraints,
 )
 from repro.exec.suite import SuiteError, build_suite, evaluate_suite
+from repro.fuzz.oracles import brute_force_winners
 
 
 def _suite(name="alexnet", cap=4, seed=7):
@@ -107,15 +107,13 @@ class TestConstraintGrammar:
 class TestDifferential:
     def test_eta1_matches_exhaustive_autotune(self):
         """One exact rung over the classic three-axis space must pick
-        exactly the exhaustive autotuner's winners."""
+        exactly the brute-force search's winners."""
         narrow = suite_design_space(_suite())
-        exhaustive = autotune_suite(
-            _suite(), space=narrow, cache=CompileCache(), jobs=1
-        )
+        reference = brute_force_winners(_suite(), narrow)
         halved = _halve(space=narrow, eta=1)
-        assert _winner_rows(halved) == _winner_rows(exhaustive)
-        assert halved.total_cycles == exhaustive.total_cycles
-        assert halved.fixed_total_cycles == exhaustive.fixed_total_cycles
+        assert _winner_rows(halved) == [row for row, _fixed in reference]
+        assert halved.total_cycles == sum(row[4] for row, _ in reference)
+        assert halved.fixed_total_cycles == sum(f for _row, f in reference)
 
     def test_pruned_run_matches_eta1_over_wide_space(self):
         """Successive halving with pruning lands on the same winners as
@@ -204,11 +202,6 @@ class TestSchedule:
         assert len(starts) == len(finishes) == 2
         assert [e["fidelity"] for e in starts] == ["cap2", "full"]
         assert finishes[0]["survivors"] > 0
-
-    def test_budget_is_rung0_sizing_alias(self):
-        result = _halve(budget=6)
-        assert len(result.combos) == 6
-        assert result.total_cycles <= result.fixed_total_cycles
 
     def test_unknown_objective_rejected(self):
         with pytest.raises(ValueError, match="objective"):

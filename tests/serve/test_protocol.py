@@ -66,7 +66,6 @@ class TestValidate:
             "eta": 2,
             "constraint": None,
             "objective": "cycles",
-            "budget": None,
         }
 
     def test_sweep_needs_exactly_one_source(self):
@@ -96,7 +95,6 @@ class TestValidate:
         assert err({**base, "cap": "8"}).code == "bad-bounds"
         assert err({**base, "cap": True}).code == "bad-bounds"
         assert err({**base, "seed": -1}).code == "bad-bounds"
-        assert err({**base, "budget": 0}).code == "bad-bounds"
 
     def test_bad_objective_and_autotune(self):
         base = {"type": "sweep", "suite": "alexnet"}
@@ -138,6 +136,11 @@ class TestValidate:
         error = err({"type": "sweep", "suite": "alexnet", "jobs": 4})
         assert error.code == "unknown-field"
         assert "jobs" in str(error)
+
+    def test_retired_budget_field_rejected(self):
+        error = err({"type": "sweep", "suite": "alexnet", "budget": 4})
+        assert error.code == "unknown-field"
+        assert "budget" in str(error)
 
     def test_explore_normalizes(self):
         request = validate_request({"type": "explore"})

@@ -136,6 +136,29 @@ class TestNegativePaths:
             stream.close()
             sock.close()
 
+    def test_retired_budget_field_is_one_unknown_field_error(self, harness):
+        h = harness()
+        sock, stream = self.raw_connection(h)
+        try:
+            line = (
+                b'{"type": "sweep", "suite": "alexnet", "autotune": true,'
+                b' "budget": 4}\n'
+            )
+            stream.write(line)
+            stream.flush()
+            reply = json.loads(stream.readline())
+            assert reply["type"] == "error"
+            assert reply["code"] == "unknown-field"
+            assert "budget" in reply["message"]
+            # Exactly one terminal for the request: the next line read is
+            # the ping's answer, not a second reply to the sweep.
+            stream.write(b'{"type": "ping"}\n')
+            stream.flush()
+            assert json.loads(stream.readline())["type"] == "pong"
+        finally:
+            stream.close()
+            sock.close()
+
     def test_oversized_request_line_is_a_structured_error(self, harness):
         h = harness()
         sock, stream = self.raw_connection(h)
@@ -303,6 +326,28 @@ class TestTraces:
         assert [kind for kind, _e, _r in streams[0]] == [
             "trace", "row", "trace"
         ]
+
+    def test_served_autotune_rows_match_the_in_process_call(self, harness):
+        h = harness()
+        traces = []
+        result = h.client.sweep(
+            table=TABLE, cap=8, seed=7, autotune=True, on_trace=traces.append
+        )
+        from repro.dse.space import suite_design_space
+        from repro.exec.halving import halving_autotune_suite
+
+        suite = build_table_suite(TABLE, cap=8, seed=7)
+        expected = halving_autotune_suite(
+            suite, eta=1, space=suite_design_space(suite),
+            jobs=1, cache=CompileCache(),
+        )
+        assert json.dumps(result["rows"]) == json.dumps(
+            jsonable(expected.rows)
+        )
+        assert result["mode"] == "halving"
+        assert result["eta"] == 1
+        assert [r["fidelity"] for r in result["rungs"]] == ["full"]
+        assert [t["event"] for t in traces].count("rung_finish") == 1
 
     def test_real_halving_sweep_streams_rung_traces(self, harness):
         h = harness()

@@ -9,6 +9,8 @@ from repro.core import Bounds, compile_design, matmul_spec
 from repro.core.balancing import flexible_pe_scheme, row_shift_scheme
 from repro.core.dataflow import hexagonal, input_stationary, output_stationary
 from repro.core.sparsity import csr_b_matrix, csr_csc_both, diagonal_a_matrix
+from repro.exec import cache as cache_module
+from repro.exec.cache import CompileCache
 from repro.sim.spatial_array import SpatialArraySim
 
 
@@ -91,6 +93,49 @@ class TestDenseExecution:
         design = compile_design(spec, Bounds({"i": n, "j": n, "k": n}), transform)
         result = SpatialArraySim(design).run({"A": A, "B": B})
         assert np.array_equal(result.outputs["C"], A @ B)
+
+
+class TestOperandFingerprints:
+    def test_shared_cache_hashes_one_tensors_dict_once(
+        self, spec, bounds4, small_matrices, monkeypatch
+    ):
+        """Repeated dense and sparse runs on one all-array tensors dict
+        fingerprint it once; later memo lookups hit the identity path."""
+        calls = []
+        original = cache_module.fingerprint
+
+        def counting(value):
+            calls.append(value)
+            return original(value)
+
+        monkeypatch.setattr(cache_module, "fingerprint", counting)
+        A, B = small_matrices
+        tensors = {"A": A, "B": B}
+        cache = CompileCache()
+        designs = [
+            compile_design(spec, bounds4, output_stationary()),
+            compile_design(spec, bounds4, hexagonal()),
+            compile_design(
+                spec, bounds4, input_stationary(), sparsity=csr_b_matrix(spec)
+            ),
+        ]
+        for design in designs * 2:
+            result = SpatialArraySim(design, memo=cache).run(tensors)
+            assert np.array_equal(result.outputs["C"], A @ B)
+        hashed = [
+            value for value in calls
+            if isinstance(value, dict) and set(value) == {"A", "B"}
+        ]
+        assert len(hashed) == 1 and hashed[0] is tensors
+
+    def test_non_array_operands_still_accepted(self, spec, bounds4):
+        design = compile_design(spec, bounds4, output_stationary())
+        A = [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        B = np.arange(16).reshape(4, 4)
+        result = SpatialArraySim(design, memo=CompileCache()).run(
+            {"A": A, "B": B}
+        )
+        assert np.array_equal(result.outputs["C"], np.asarray(A) @ B)
 
 
 class TestSparseExecution:
